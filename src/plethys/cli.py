@@ -48,7 +48,6 @@ class RunConfig:
     output_format: str = "text"
     budget_half_edges: int | None = None
     budget_classes: int | None = None
-    threads: int = 1
 
 
 class InputError(Exception):
@@ -69,13 +68,13 @@ def _read_threads() -> int:
 
 
 def _config_from_args(args) -> RunConfig:
+    _read_threads()  # validated only: every run is sequential
     cfg = RunConfig(
         max_degree=args.max_degree,
         spec_path=args.spec,
         output_format=args.format,
         budget_half_edges=getattr(args, "budget_half_edges", None),
         budget_classes=getattr(args, "budget_classes", None),
-        threads=_read_threads(),
     )
     if cfg.max_degree is not None and cfg.max_degree < 1:
         raise InputError("--max-degree must be >= 1")
@@ -228,7 +227,8 @@ def main(argv=None) -> int:
     except ModuleSpecError as exc:
         print(f"error: malformed module spec: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # an unreadable --spec path: missing, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BudgetExceededError as exc:

@@ -235,31 +235,26 @@ def hyperoct_dihedral(n: int) -> list:
     return closure([rot, refl])
 
 
-def ind_trivial_char(elements, truncation: int) -> SymFunc:
-    """Characteristic of the trivial representation induced from a subgroup
-    of S_n, as the averaged cycle map (1/|H|) sum_h p_{type(h)}."""
+def _averaged_char(elements, truncation: int, monomial, cls):
+    """(1/|H|) sum_h monomial(h) over the subgroup H, as a value of cls."""
     elements = list(elements)
     if not elements:
         raise ValueError("subgroup must be nonempty")
-    counts = Counter(cycle_type(h) for h in elements)
+    counts = Counter(monomial(h) for h in elements)
     n = elements[0].degree
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
     order = len(elements)
-    return SymFunc(truncation, {lam: Fraction(c, order) for lam, c in counts.items()})
+    return cls(truncation, {key: Fraction(c, order) for key, c in counts.items()})
+
+
+def ind_trivial_char(elements, truncation: int) -> SymFunc:
+    """Characteristic of the trivial representation induced from a subgroup
+    of S_n, as the averaged cycle map (1/|H|) sum_h p_{type(h)}."""
+    return _averaged_char(elements, truncation, cycle_type, SymFunc)
 
 
 def ind_trivial_char_wreath(elements, truncation: int) -> WreathSymFunc:
     """Same averaging for a subgroup of the hyperoctahedral group, landing
     in wreath-product symmetric functions."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("subgroup must be nonempty")
-    counts = Counter(signed_cycle_monomial(h) for h in elements)
-    n = elements[0].degree
-    if n > truncation:
-        raise ValueError(f"degree {n} exceeds truncation {truncation}")
-    order = len(elements)
-    return WreathSymFunc(
-        truncation, {key: Fraction(c, order) for key, c in counts.items()}
-    )
+    return _averaged_char(elements, truncation, signed_cycle_monomial, WreathSymFunc)

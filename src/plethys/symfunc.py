@@ -14,12 +14,18 @@ Partitions are plain tuples of weakly decreasing positive integers.  The
 canonical ordering (used by ``terms``, ``str`` and the JSON form) is by
 degree, then reverse-lexicographically within a degree: ``(n,)`` first,
 ``(1,)*n`` last.
+
+The truncated-series core (``_TruncatedSeries``) knows nothing about
+partitions: ``SymFunc`` supplies the partition keys, and
+``plethys.wreath`` supplies wreath monomial keys to the same core.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 Partition = tuple
 
@@ -104,37 +110,55 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-class SymFunc:
-    """A truncated symmetric function with exact rational coefficients."""
+class _TruncatedSeries:
+    """The truncated power-sum algebra shared by ``SymFunc`` and
+    ``WreathSymFunc``.
+
+    A value is an explicit truncation degree N plus a finite map from
+    monomial keys to nonzero ``Fraction`` coefficients.  A key is a sorted
+    tuple of generator factors.  Subclasses only say what their keys are,
+    through these class attributes:
+
+    ``_validate_key``  check one key and return it in canonical form
+    ``_key_degree``    total degree of a key
+    ``_sort_key``      canonical term order (by degree first)
+    ``_descending``    whether the factors inside a key sort descending
+    ``_factor_str``    rendering of one generator factor
+    ``_json_field``, ``_key_to_json``, ``_key_from_json``  the JSON key codec
+
+    Everything else (validation, ring operations, equality, rendering and
+    the JSON form) lives here.  Values of two different subclasses never
+    mix: sums and products raise ``TypeError`` and they never compare equal.
+    """
 
     __slots__ = ("truncation", "_terms")
 
     def __init__(self, truncation: int, terms=None):
         if not isinstance(truncation, int) or truncation < 1:
             raise ValueError("truncation must be a positive integer")
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[tuple, Fraction] = {}
         if terms:
-            for lam, coeff in terms.items() if hasattr(terms, "items") else terms:
-                lam = _validate_partition(lam)
-                if sum(lam) > truncation:
+            for key, coeff in terms.items() if hasattr(terms, "items") else terms:
+                key = self._validate_key(key)
+                if self._key_degree(key) > truncation:
                     raise ValueError(
-                        f"term {lam!r} has degree {sum(lam)} above truncation {truncation}"
+                        f"term {key!r} has degree {self._key_degree(key)} above truncation {truncation}"
                     )
                 coeff = _as_fraction(coeff)
                 if coeff:
-                    clean[lam] = clean.get(lam, Fraction(0)) + coeff
-                    if not clean[lam]:
-                        del clean[lam]
+                    clean[key] = clean.get(key, Fraction(0)) + coeff
+                    if not clean[key]:
+                        del clean[key]
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SymFunc is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _raw(cls, truncation: int, terms: dict) -> "SymFunc":
+    def _raw(cls, truncation: int, terms: dict):
         # internal fast path: caller guarantees valid keys/values
         self = object.__new__(cls)
         object.__setattr__(self, "truncation", truncation)
@@ -142,68 +166,71 @@ class SymFunc:
         return self
 
     @classmethod
-    def zero(cls, truncation: int) -> "SymFunc":
+    def zero(cls, truncation: int):
         return cls(truncation, {})
 
     @classmethod
-    def one(cls, truncation: int) -> "SymFunc":
+    def one(cls, truncation: int):
         return cls(truncation, {(): Fraction(1)})
 
     @classmethod
-    def p(cls, k: int, truncation: int) -> "SymFunc":
-        """The power sum p_k (zero if k exceeds the truncation)."""
+    def _generator(cls, factor, k: int, truncation: int):
+        """The monomial of the single factor of degree k (zero if k exceeds
+        the truncation)."""
         if not isinstance(k, int) or k < 1:
-            raise ValueError("power-sum index must be a positive integer")
+            raise ValueError("generator index must be a positive integer")
         if k > truncation:
             return cls.zero(truncation)
-        return cls(truncation, {(k,): Fraction(1)})
+        return cls(truncation, {(factor,): Fraction(1)})
 
     # -- inspection ---------------------------------------------------
 
     def terms(self):
-        """Iterate (partition, coefficient) pairs in canonical order."""
-        for lam in sorted(self._terms, key=partition_sort_key):
-            yield lam, self._terms[lam]
+        """Iterate (key, coefficient) pairs in canonical order."""
+        for key in sorted(self._terms, key=self._sort_key):
+            yield key, self._terms[key]
 
-    def coefficient(self, lam) -> Fraction:
-        return self._terms.get(_validate_partition(lam), Fraction(0))
+    def coefficient(self, key) -> Fraction:
+        return self._terms.get(self._validate_key(key), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def valuation(self):
-        """Smallest degree with a nonzero term, or None for the zero function."""
+        """Smallest degree with a nonzero term, or None for zero."""
         if not self._terms:
             return None
-        return min(sum(lam) for lam in self._terms)
+        return min(map(self._key_degree, self._terms))
 
-    def degree_part(self, d: int) -> "SymFunc":
-        return SymFunc._raw(
+    def degree_part(self, d: int):
+        degree = self._key_degree
+        return self._raw(
             self.truncation,
-            {lam: c for lam, c in self._terms.items() if sum(lam) == d},
+            {key: c for key, c in self._terms.items() if degree(key) == d},
         )
 
     def is_homogeneous(self) -> bool:
-        return len({sum(lam) for lam in self._terms}) <= 1
+        return len(set(map(self._key_degree, self._terms))) <= 1
 
-    def truncated(self, new_truncation: int) -> "SymFunc":
-        """The same function carried at a lower truncation (terms above it
+    def truncated(self, new_truncation: int):
+        """The same value carried at a lower truncation (terms above it
         are dropped).  Raising the truncation is refused: the discarded
         degrees are not recoverable."""
         if new_truncation > self.truncation:
             raise ValueError(
                 f"cannot raise truncation {self.truncation} to {new_truncation}"
             )
-        return SymFunc._raw(
+        degree = self._key_degree
+        return self._raw(
             new_truncation,
-            {lam: c for lam, c in self._terms.items() if sum(lam) <= new_truncation},
+            {key: c for key, c in self._terms.items() if degree(key) <= new_truncation},
         )
 
     # -- ring structure -----------------------------------------------
 
-    def _check_compatible(self, other: "SymFunc"):
-        if not isinstance(other, SymFunc):
-            raise TypeError(f"expected SymFunc, got {type(other).__name__}")
+    def _check_compatible(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if self.truncation != other.truncation:
             raise ValueError(
                 f"truncation mismatch: {self.truncation} vs {other.truncation}"
@@ -212,16 +239,16 @@ class SymFunc:
     def __add__(self, other):
         self._check_compatible(other)
         terms = dict(self._terms)
-        for lam, c in other._terms.items():
-            acc = terms.get(lam, Fraction(0)) + c
+        for key, c in other._terms.items():
+            acc = terms.get(key, Fraction(0)) + c
             if acc:
-                terms[lam] = acc
-            elif lam in terms:
-                del terms[lam]
-        return SymFunc._raw(self.truncation, terms)
+                terms[key] = acc
+            elif key in terms:
+                del terms[key]
+        return self._raw(self.truncation, terms)
 
     def __neg__(self):
-        return SymFunc._raw(self.truncation, {lam: -c for lam, c in self._terms.items()})
+        return self._raw(self.truncation, {key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -230,63 +257,77 @@ class SymFunc:
         if isinstance(other, (int, Fraction)):
             other = _as_fraction(other)
             if not other:
-                return SymFunc.zero(self.truncation)
-            return SymFunc._raw(
-                self.truncation, {lam: c * other for lam, c in self._terms.items()}
+                return self.zero(self.truncation)
+            return self._raw(
+                self.truncation, {key: c * other for key, c in self._terms.items()}
             )
         self._check_compatible(other)
         N = self.truncation
-        terms: dict[Partition, Fraction] = {}
-        for lam, c in self._terms.items():
-            wl = sum(lam)
-            for mu, d in other._terms.items():
-                if wl + sum(mu) > N:
+        degree = self._key_degree
+        descending = self._descending
+        # the right operand's degrees are taken once per product, lowest
+        # first, so the inner loop stops at the first pair above N
+        right = sorted(
+            ((degree(key), key, d) for key, d in other._terms.items()), key=itemgetter(0)
+        )
+        terms: dict[tuple, Fraction] = {}
+        for key1, c in self._terms.items():
+            room = N - degree(key1)
+            for d2, key2, d in right:
+                if d2 > room:
+                    break
+                key = tuple(sorted(key1 + key2, reverse=descending))
+                acc = terms.get(key)
+                if acc is None:
+                    terms[key] = c * d
                     continue
-                key = tuple(sorted(lam + mu, reverse=True))
-                acc = terms.get(key, Fraction(0)) + c * d
+                acc += c * d
                 if acc:
                     terms[key] = acc
-                elif key in terms:
+                else:
                     del terms[key]
-        return SymFunc._raw(N, terms)
+        return self._raw(N, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = SymFunc.one(self.truncation)
+        out = self.one(self.truncation)
         for _ in range(exponent):
             out = out * self
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, SymFunc):
+        if type(other) is not type(self):
             return NotImplemented
         return self.truncation == other.truncation and self._terms == other._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     # -- rendering ----------------------------------------------------
+
+    def _monomial_str(self, key) -> str:
+        chunks = []
+        for factor, run in groupby(key):
+            exp = len(list(run))
+            name = self._factor_str(factor)
+            chunks.append(name if exp == 1 else f"{name}^{exp}")
+        return "*".join(chunks)
 
     def __str__(self):
         if not self._terms:
             return "0"
         chunks = []
-        for lam, c in self.terms():
-            mono = _monomial_str(lam)
-            if mono == "1":
+        for key, c in self.terms():
+            if not key:
                 chunks.append(str(c))
             elif c == 1:
-                chunks.append(mono)
+                chunks.append(self._monomial_str(key))
             else:
-                chunks.append(f"{c}*{mono}")
+                chunks.append(f"{c}*{self._monomial_str(key)}")
         return " + ".join(chunks)
 
     def __repr__(self):
-        return f"SymFunc(N={self.truncation}: {self})"
+        return f"{type(self).__name__}(N={self.truncation}: {self})"
 
     # -- serialization ------------------------------------------------
 
@@ -295,37 +336,55 @@ class SymFunc:
             "truncation": self.truncation,
             "terms": [
                 {
-                    "partition": list(lam),
+                    self._json_field: self._key_to_json(key),
                     "num": str(c.numerator),
                     "den": str(c.denominator),
                 }
-                for lam, c in self.terms()
+                for key, c in self.terms()
             ],
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "SymFunc":
-        terms = {}
-        for entry in obj["terms"]:
-            lam = tuple(entry["partition"])
-            coeff = Fraction(int(entry["num"]), int(entry["den"]))
-            terms[lam] = terms.get(lam, Fraction(0)) + coeff
-        return cls(obj["truncation"], terms)
+    def from_json_obj(cls, obj: dict):
+        return cls(
+            obj["truncation"],
+            [
+                (
+                    cls._key_from_json(entry[cls._json_field]),
+                    Fraction(int(entry["num"]), int(entry["den"])),
+                )
+                for entry in obj["terms"]
+            ],
+        )
 
 
-def _monomial_str(lam: Partition) -> str:
-    if not lam:
-        return "1"
-    chunks = []
-    i = 0
-    while i < len(lam):
-        j = i
-        while j < len(lam) and lam[j] == lam[i]:
-            j += 1
-        exp = j - i
-        chunks.append(f"p{lam[i]}" if exp == 1 else f"p{lam[i]}^{exp}")
-        i = j
-    return "*".join(chunks)
+class SymFunc(_TruncatedSeries):
+    """A truncated symmetric function with exact rational coefficients.
+    Keys are partitions: the key lam stands for p_lam."""
+
+    __slots__ = ()
+
+    _validate_key = staticmethod(_validate_partition)
+    _key_degree = staticmethod(sum)
+    _sort_key = staticmethod(partition_sort_key)
+    _descending = True
+    _json_field = "partition"
+    _key_to_json = staticmethod(list)
+    _key_from_json = staticmethod(tuple)
+
+    @staticmethod
+    def _factor_str(k: int) -> str:
+        return f"p{k}"
+
+    @classmethod
+    def p(cls, k: int, truncation: int) -> "SymFunc":
+        """The power sum p_k (zero if k exceeds the truncation)."""
+        return cls._generator(k, k, truncation)
+
+    # the benchmark's tracer wraps these from the class's own namespace
+    __mul__ = _TruncatedSeries.__mul__
+    __rmul__ = _TruncatedSeries.__mul__
+    to_json_obj = _TruncatedSeries.to_json_obj
 
 
 # -- the operations beyond the plain ring structure --------------------
@@ -431,13 +490,16 @@ def d_operator(f: SymFunc, g: SymFunc) -> SymFunc:
     return out
 
 
-def log_inv(f: SymFunc) -> SymFunc:
-    """-log(1 - f) = sum_{k>=1} f^k / k, truncated; f must have valuation >= 1."""
+def log_inv(f):
+    """-log(1 - f) = sum_{k>=1} f^k / k, truncated; f must have valuation >= 1.
+
+    f may be a ``SymFunc`` or a ``WreathSymFunc``; the result has its type.
+    """
     if f.coefficient(()):
         raise ValueError("log series requires no constant term")
     val = f.valuation()
     if val is None:
-        return SymFunc.zero(f.truncation)
+        return type(f).zero(f.truncation)
     out = f
     power = f
     for k in range(2, f.truncation // val + 1):
@@ -446,15 +508,18 @@ def log_inv(f: SymFunc) -> SymFunc:
     return out
 
 
-def geom(f: SymFunc) -> SymFunc:
-    """1/(1 - f) = sum_{k>=0} f^k, truncated; f must have valuation >= 1."""
+def geom(f):
+    """1/(1 - f) = sum_{k>=0} f^k, truncated; f must have valuation >= 1.
+
+    f may be a ``SymFunc`` or a ``WreathSymFunc``; the result has its type.
+    """
     if f.coefficient(()):
         raise ValueError("geometric series requires no constant term")
-    out = SymFunc.one(f.truncation)
+    out = type(f).one(f.truncation)
     val = f.valuation()
     if val is None:
         return out
-    power = SymFunc.one(f.truncation)
+    power = out
     for _ in range(f.truncation // val):
         power = power * f
         out = out + power

@@ -153,6 +153,10 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, ["expand", "b1", "--spec", str(tmp_path / "missing.json")])
     assert code == 2
+    for argv in (["expand", "b1"], ["verify", "bb"], ["enumerate", "necklace", "--n", "1"]):
+        code, _, err = run(capsys, argv + ["--spec", str(tmp_path)])
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 def test_verify_failure_exit_code(capsys, empty_spec):

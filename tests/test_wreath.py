@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from plethys.groups import hyperoct_dihedral, ind_trivial_char_wreath
-from plethys.symfunc import SymFunc, adams, h_gen, partial_p, partitions_of
+from plethys.symfunc import SymFunc, adams, geom, h_gen, log_inv, partial_p, partitions_of
 from plethys.wreath import (
     WreathSymFunc,
     deg1_iso,
@@ -12,8 +12,6 @@ from plethys.wreath import (
     dih_series_closed,
     plethysm_deg1,
     specialize_s2,
-    wgeom,
-    wlog_inv,
 )
 
 P = WreathSymFunc.gen_p
@@ -85,15 +83,15 @@ def test_dih_series_degree_parts():
         assert series.degree_part(n) == dih_char_closed(n, N)
 
 
-def test_wlog_wgeom():
+def test_log_inv_geom_on_wreath():
     N = 4
     p1 = P(1, N)
-    assert wlog_inv(p1) == p1 + p1 ** 2 * Fraction(1, 2) + p1 ** 3 * Fraction(
+    assert log_inv(p1) == p1 + p1 ** 2 * Fraction(1, 2) + p1 ** 3 * Fraction(
         1, 3
     ) + p1 ** 4 * Fraction(1, 4)
-    assert wgeom(P(2, N)) == WreathSymFunc.one(N) + P(2, N) + P(2, N) ** 2
+    assert geom(P(2, N)) == WreathSymFunc.one(N) + P(2, N) + P(2, N) ** 2
     with pytest.raises(ValueError):
-        wlog_inv(WreathSymFunc.one(N))
+        log_inv(WreathSymFunc.one(N))
 
 
 def test_specialize_s2_generators():
