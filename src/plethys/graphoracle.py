@@ -12,10 +12,19 @@ Isomorphisms are half-edge bijections preserving the vertex partition, the
 involution, genus, leg labels, the chosen summand and the block structure
 (blockwise, in order).  Censuses are deduplicated by a canonical form
 computed with invariant refinement plus backtracking over the residual
-symmetry; characters of a census are Burnside averages of leg-relabeling
-fixed counts.  Everything here is deliberately independent of the closed
-formulas it is used to check: families are enumerated from raw matchings
-or cycle layouts and compared degreewise against the series module.
+symmetry.  The optimal labelings of that search differ exactly by
+automorphisms, so the same search also yields each class's automorphism
+group.
+
+Necklace characters are computed from leg-unlabeled classes (every leg
+carries one common label): each class U contributes the cycle index
+(1/|Aut U|) sum_{a in Aut U} p_{type(a on legs)}.  Genus-one and
+rooted-tree characters are Burnside averages of leg-relabeling fixed
+counts over the leg-labeled census (``char_of_census``), which also
+serves the tests as the independent reference for the necklace path.
+Everything here is deliberately independent of the closed formulas it is
+used to check: families are enumerated from raw matchings or cycle
+layouts and compared degreewise against the series module.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from .groups import Perm, cycle_type
 from .series import ModuleSpec
 from .symfunc import SymFunc, _validate_partition, partitions_of, z_of
 
@@ -192,16 +202,25 @@ def _rank(items):
 
 def canonical_form(graph: DecoratedGraph):
     """Canonical encoding of a decorated graph, identical for isomorphic
-    graphs and distinct otherwise.
+    graphs and distinct otherwise; cached on the graph."""
+    if graph._canon is None:
+        graph._canon = _canonical_search(graph)[0]
+    return graph._canon
+
+
+def _canonical_search(graph: DecoratedGraph):
+    """The canonical encoding of ``graph`` and its optimal half-edge orders.
 
     Invariant refinement colors vertices and half-edges; the residual
     symmetry (vertex color classes and within-vertex ties) is searched
     exhaustively and the lexicographically smallest encoding wins.  The
     candidate labeling set is itself invariant under relabeling, which is
-    what makes the minimum canonical.
+    what makes the minimum canonical.  It is also invariant under the
+    automorphisms, which act on it freely, and two candidates with the same
+    encoding differ by exactly one automorphism: the optimal orders are one
+    orbit, so ``first[i] -> order[i]`` over the optimal orders lists the
+    automorphism group, each element once.
     """
-    if graph._canon is not None:
-        return graph._canon
     vertex_of = graph.vertex_of
     inv = graph.inv
     dec_block = graph.dec_block
@@ -243,7 +262,13 @@ def canonical_form(graph: DecoratedGraph):
         by_color.setdefault(vcol[v], []).append(v)
     class_list = [tuple(by_color[c]) for c in sorted(by_color)]
 
+    # a vertex's color refines its (genus, valence, summand), so every
+    # candidate vertex order describes the vertices alike
+    vdesc = tuple(
+        (graph.genus[v], valence[v], graph.dec_index[v]) for cls in class_list for v in cls
+    )
     best = None
+    orders = []
     vpos = [0] * V
     for class_perms in product(*(permutations(cls) for cls in class_list)):
         vorder = [v for cls in class_perms for v in cls]
@@ -271,16 +296,20 @@ def canonical_form(graph: DecoratedGraph):
             for i, h in enumerate(horder):
                 hpos[h] = i
             enc = (
-                tuple((graph.genus[v], valence[v], graph.dec_index[v]) for v in vorder),
+                vdesc,
                 tuple(hpos[inv[h]] for h in horder),
                 tuple(leg_label[h] for h in horder),
                 tuple(dec_block[h] for h in horder),
                 tuple(mark[h] for h in horder),
             )
-            if best is None or enc < best:
+            if best is not None and enc > best:
+                continue
+            if enc == best:
+                orders.append(horder)
+            else:
                 best = enc
-    graph._canon = best
-    return best
+                orders = [horder]
+    return best, orders
 
 
 def relabel_legs(graph: DecoratedGraph, mapping: dict) -> DecoratedGraph:
@@ -393,17 +422,16 @@ def _perfect_matchings(ports):
             yield ((a, b),) + sub
 
 
-def _insert(census, graph, budget):
-    canon = canonical_form(graph)
+def _insert(census, canon, value, budget):
     if canon not in census:
         if len(census) >= budget.max_classes:
             raise BudgetExceededError(
                 f"census exceeds class budget {budget.max_classes}"
             )
-        census[canon] = graph
+        census[canon] = value
 
 
-def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
+def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, budget: Budget, labeled: bool):
     """Necklaces: every vertex genus 0 and on the single cycle, legs
     attached directly to cycle vertices.
 
@@ -411,7 +439,9 @@ def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
     joins the previous position and port 1 the next, so every class is hit
     (possibly several times, removed by canonical deduplication).  Oriented
     necklaces keep the prev/next port marks as part of the structure, so
-    only rotations survive as isomorphisms.
+    only rotations survive as isomorphisms.  Labeled necklaces carry the
+    legs 1..n; unlabeled ones give every leg the label 1, so each layout
+    yields one graph per decoration.
     """
     by_legcount = {}
     for m, lams in spec.genus0.items():
@@ -419,7 +449,6 @@ def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
             by_legcount[m - 2] = lams
     allowed = tuple(sorted(lc for lc in by_legcount if lc >= 1))
     labels = tuple(range(1, n + 1))
-    census: dict = {}
     for k in range(1, n + 1):
         for comp in _compositions(n, k, allowed):
             H = 2 * k + n
@@ -452,12 +481,14 @@ def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
                 for j, lc in enumerate(comp)
             ]
             genus_list = (0,) * k
-            for assign in _distributions(labels, comp):
+            if labeled:
                 # any layout can be rotated so that the vertex carrying leg 1
                 # sits at position 0, and the rotated composition is also
                 # enumerated; pinning label 1 there only removes duplicates
-                if 1 not in assign[0]:
-                    continue
+                assigns = (a for a in _distributions(labels, comp) if 1 in a[0])
+            else:
+                assigns = (tuple((1,) * lc for lc in comp),)
+            for assign in assigns:
                 leg_label = [-1] * H
                 for j, lc in enumerate(comp):
                     for t, lab in enumerate(assign[j]):
@@ -468,10 +499,15 @@ def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
                     for _, bm in dec_combo:
                         for h, blk in bm.items():
                             dec_block[h] = blk
-                    graph = DecoratedGraph(
+                    yield DecoratedGraph(
                         vertex_of, inv, genus_list, leg_label, dec_index, dec_block, mark
                     )
-                    _insert(census, graph, budget)
+
+
+def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
+    census: dict = {}
+    for graph in _necklace_graphs(spec, n, oriented, budget, labeled=True):
+        _insert(census, canonical_form(graph), graph, budget)
     return dict(sorted(census.items()))
 
 
@@ -632,7 +668,14 @@ def _fill_shape(spec, shape, E, leg_labels, b1_target, census, budget):
                     graph = DecoratedGraph(
                         vertex_of, inv, genus_list, leg_label, dec_index, dec_block
                     )
-                    _insert(census, graph, budget)
+                    _insert(census, canonical_form(graph), graph, budget)
+
+
+def _check_leg_count(n, budget: Budget):
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("enumeration needs at least one labeled leg")
+    if n > budget.max_legs:
+        raise BudgetExceededError(f"{n} legs exceed budget {budget.max_legs}")
 
 
 _census_cache: dict = {}
@@ -652,10 +695,7 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int, budget: Budget | 
     """
     if budget is None:
         budget = DEFAULT_BUDGET
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("enumeration needs at least one labeled leg")
-    if n > budget.max_legs:
-        raise BudgetExceededError(f"{n} legs exceed budget {budget.max_legs}")
+    _check_leg_count(n, budget)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     key = (_spec_key(spec), family, n, budget)
@@ -731,35 +771,96 @@ def char_of_census(census, n: int, truncation: int) -> SymFunc:
     return SymFunc(truncation, terms)
 
 
+def _unlabeled_necklace_classes(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
+    """Leg-unlabeled necklace classes with n legs, as a dict from canonical
+    form to (representative, optimal half-edge orders); the class budget
+    bounds the classes held."""
+    _check_leg_count(n, budget)
+    classes: dict = {}
+    for graph in _necklace_graphs(spec, n, oriented, budget, labeled=False):
+        canon, orders = _canonical_search(graph)
+        _insert(classes, canon, (graph, orders), budget)
+    return classes
+
+
+def _leg_actions(graph: DecoratedGraph, orders):
+    """One permutation of the legs per automorphism, the legs numbered
+    1, 2, ... in the first optimal order; an automorphism sends first[i]
+    to order[i]."""
+    first = orders[0]
+    legs = [h for h in first if graph.inv[h] == h]
+    leg_number = {h: i for i, h in enumerate(legs, start=1)}
+    actions = []
+    for order in orders:
+        image = dict(zip(first, order))
+        actions.append(Perm(leg_number[image[h]] for h in legs))
+    return actions
+
+
+def _necklace_aut_char(spec: ModuleSpec, n: int, oriented: bool, truncation: int, budget: Budget) -> SymFunc:
+    """Character of the labeled necklace census from its leg-unlabeled
+    classes: sum over classes U of (1/|Aut U|) sum_{a in Aut U} p_{type(a)},
+    where type(a) is the cycle type of a on the legs.
+
+    A class U whose automorphisms act on its legs through the group S
+    stands for the n!/|S| labeled classes over it, and (1/|Aut U|) sum_a
+    p_{type(a)} = (1/|S|) sum_{s in S} p_{type(s)} is their Burnside
+    average.
+    """
+    classes = _unlabeled_necklace_classes(spec, n, oriented, budget)
+    if n > truncation:
+        raise ValueError(f"degree {n} exceeds truncation {truncation}")
+    terms = {}
+    for graph, orders in classes.values():
+        weight = Fraction(1, len(orders))
+        for action in _leg_actions(graph, orders):
+            lam = cycle_type(action)
+            terms[lam] = terms.get(lam, 0) + weight
+    return SymFunc(truncation, terms)
+
+
 _char_cache: dict = {}
 
 
 def _family_char(spec, family, n, truncation, budget):
+    """Necklace characters come from the automorphism groups of the
+    leg-unlabeled classes; the other families average leg-relabeling fixed
+    counts over their labeled censuses (``char_of_census``)."""
     key = (_spec_key(spec), family, n, truncation, budget)
     got = _char_cache.get(key)
     if got is None:
-        got = char_of_census(enumerate_decorated(spec, family, n, budget), n, truncation)
+        if family in ("necklace", "oriented-necklace"):
+            oriented = family == "oriented-necklace"
+            got = _necklace_aut_char(spec, n, oriented, truncation, budget or DEFAULT_BUDGET)
+        else:
+            got = char_of_census(enumerate_decorated(spec, family, n, budget), n, truncation)
         _char_cache[key] = got
     return got
 
 
 def mv_char(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of all decorated stable graphs of total genus one with n
-    legs (including the bare genus-1 corolla)."""
+    legs (including the bare genus-1 corolla), by Burnside averaging over
+    the labeled census."""
     return _family_char(spec, "genus1-stable", n, truncation, budget)
 
 
 def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
+    """Character of the unordered necklaces with n legs, from the
+    automorphism groups of the leg-unlabeled classes."""
     return _family_char(spec, "necklace", n, truncation, budget)
 
 
 def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
+    """Character of the cyclically oriented necklaces with n legs, from the
+    automorphism groups of the leg-unlabeled classes."""
     return _family_char(spec, "oriented-necklace", n, truncation, budget)
 
 
 def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of rooted genus-0 trees (root leg 0 distinguished) as a
-    module over permutations of the legs 1..n."""
+    module over permutations of the legs 1..n, by Burnside averaging over
+    the labeled census."""
     return _family_char(spec, "rooted-tree", n, truncation, budget)
 
 

@@ -139,6 +139,14 @@ def test_enumerate_budget_exit_code(capsys, tiny_spec):
         ["enumerate", "necklace", "--n", "4", "--spec", tiny_spec, "--budget-half-edges", "5"],
     )
     assert code == 3
+    # necklace characters come from leg-unlabeled classes; the budgets hold
+    for argv in (
+        ["verify", "cyclic", "--max-degree", "3", "--budget-half-edges", "4"],
+        ["verify", "necklaces", "--max-degree", "3", "--budget-classes", "2"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert "budget" in err
 
 
 def test_malformed_spec_exit_code(capsys, tmp_path):

@@ -202,6 +202,18 @@ def test_budget_enforcement():
         enumerate_decorated(STD, "necklace", 4, Budget(max_half_edges=6))
     with pytest.raises(BudgetExceededError):
         enumerate_decorated(STD, "necklace", 4, Budget(max_classes=3))
+    # necklace characters enumerate leg-unlabeled classes under the same checks
+    N = 6
+    with pytest.raises(BudgetExceededError):
+        go.necklace_char_oracle(STD, 6, N)
+    with pytest.raises(BudgetExceededError):
+        go.cyclic_necklace_char_oracle(STD, 4, N, Budget(max_half_edges=6))
+    with pytest.raises(BudgetExceededError):
+        go.necklace_char_oracle(STD, 4, N, Budget(max_classes=3))
+    with pytest.raises(ValueError):
+        go.necklace_char_oracle(STD, 0, N)
+    with pytest.raises(ValueError):
+        go.necklace_char_oracle(STD, 4, 3)
 
 
 def test_char_of_census_examples():
