@@ -17,10 +17,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import graphoracle, verify
-from .graphoracle import Budget, BudgetExceededError, canon_to_json_obj
+from .graphoracle import BudgetExceededError, canon_to_json_obj
 from .series import (
     ModuleSpec,
     ModuleSpecError,
@@ -41,15 +40,6 @@ EXPAND_TARGETS = ("ass", "cyclic-necklaces", "necklaces", "dih", "tree", "b1")
 SPEC_REQUIRED = {"cyclic-necklaces", "necklaces", "tree", "b1"}
 
 
-@dataclass
-class RunConfig:
-    max_degree: int = 6
-    spec_path: str | None = None
-    output_format: str = "text"
-    budget_half_edges: int | None = None
-    budget_classes: int | None = None
-
-
 class InputError(Exception):
     pass
 
@@ -67,22 +57,16 @@ def _read_threads() -> int:
     return value
 
 
-def _config_from_args(args) -> RunConfig:
+def _check_args(args) -> None:
     _read_threads()  # validated only: every run is sequential
-    cfg = RunConfig(
-        max_degree=args.max_degree,
-        spec_path=args.spec,
-        output_format=args.format,
-        budget_half_edges=getattr(args, "budget_half_edges", None),
-        budget_classes=getattr(args, "budget_classes", None),
-    )
-    if cfg.max_degree is not None and cfg.max_degree < 1:
-        raise InputError("--max-degree must be >= 1")
-    return cfg
+    for flag in ("max_degree", "budget_half_edges", "budget_classes"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise InputError(f"--{flag.replace('_', '-')} must be >= 1")
 
 
-def _load_spec(cfg: RunConfig) -> ModuleSpec:
-    with open(cfg.spec_path, "r", encoding="utf-8") as fh:
+def _load_spec(path: str) -> ModuleSpec:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -90,67 +74,53 @@ def _load_spec(cfg: RunConfig) -> ModuleSpec:
     return ModuleSpec.from_json_obj(obj)
 
 
-def _budget(cfg: RunConfig, max_legs: int | None = None) -> Budget:
-    base = Budget()
-    return Budget(
-        max_half_edges=cfg.budget_half_edges or base.max_half_edges,
-        max_legs=max_legs if max_legs is not None else base.max_legs,
-        max_classes=cfg.budget_classes or base.max_classes,
-    )
-
-
-def _emit_series(series, cfg: RunConfig) -> None:
-    if cfg.output_format == "json":
+def _emit_series(series, args) -> None:
+    if args.format == "json":
         print(json.dumps(series.to_json_obj()))
     else:
         print(str(series))
 
 
 def cmd_expand(args) -> int:
-    cfg = _config_from_args(args)
-    N = cfg.max_degree
+    N = args.max_degree
     target = args.what
-    if target in SPEC_REQUIRED and cfg.spec_path is None:
+    if target in SPEC_REQUIRED and args.spec is None:
         raise InputError(f"expand {target} requires --spec")
     if target == "ass":
         from .series import ass_series
 
-        _emit_series(ass_series(N), cfg)
+        _emit_series(ass_series(N), args)
         return EXIT_OK
     if target == "dih":
-        _emit_series(dih_series_closed(N), cfg)
+        _emit_series(dih_series_closed(N), args)
         return EXIT_OK
-    spec = _load_spec(cfg)
+    spec = _load_spec(args.spec)
     # high-arity summands feed low degrees through derivatives, so the
     # assembly runs at a truncation covering the whole module and only the
     # printed series is cut to the requested degree (matching b1_series)
     working = max(N, spec.max_arity())
     a0 = a_series(spec, 0, working)
     if target == "cyclic-necklaces":
-        _emit_series(cyclic_necklace_series(a0).truncated(N), cfg)
+        _emit_series(cyclic_necklace_series(a0).truncated(N), args)
     elif target == "necklaces":
-        _emit_series(necklace_series(a0).truncated(N), cfg)
+        _emit_series(necklace_series(a0).truncated(N), args)
     elif target == "tree":
-        _emit_series(tree_fixed_point(a0).truncated(N), cfg)
+        _emit_series(tree_fixed_point(a0).truncated(N), args)
     elif target == "b1":
-        _emit_series(b1_series(spec, N), cfg)
+        _emit_series(b1_series(spec, N), args)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    spec = _load_spec(cfg) if cfg.spec_path else ModuleSpec.standard()
-    max_degree = cfg.max_degree if args.max_degree_given else None
-    budget = None
-    if cfg.budget_half_edges or cfg.budget_classes:
-        # censuses need as many legs as the largest compared degree (the
-        # per-suite defaults go up to 6)
-        budget = _budget(cfg, max_legs=max(Budget().max_legs, max_degree or 6))
+    spec = _load_spec(args.spec) if args.spec else ModuleSpec.standard()
+    # without --max-degree every suite runs at its own default degree, and
+    # each suite sizes its census budget from the degree it runs at
+    sizing = (args.max_degree, args.budget_half_edges, args.budget_classes)
     if args.suite == "all":
-        results = verify.run_all(spec, max_degree, budget)
+        results = verify.run_all(spec, *sizing)
     else:
-        results = [verify.run_suite(args.suite, spec, max_degree, budget)]
-    if cfg.output_format == "json":
+        results = [verify.run_suite(args.suite, spec, *sizing)]
+    if args.format == "json":
         print(
             json.dumps(
                 [
@@ -166,11 +136,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.spec_path is None:
+    if args.spec is None:
         raise InputError("enumerate requires --spec")
-    spec = _load_spec(cfg)
-    budget = _budget(cfg)
+    spec = _load_spec(args.spec)
+    budget = graphoracle.sized_budget(
+        max_half_edges=args.budget_half_edges, max_classes=args.budget_classes
+    )
     census = graphoracle.enumerate_decorated(spec, args.family, args.n, budget)
     for canon in census:
         print(json.dumps(canon_to_json_obj(canon)))
@@ -185,41 +156,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_degree=6):
+    def common(p, default_degree, default_format):
         p.add_argument("--max-degree", type=int, default=default_degree, dest="max_degree")
         p.add_argument("--spec", type=str, default=None, help="path to a module-spec JSON file")
-        p.add_argument("--format", choices=("json", "text"), default=None)
+        p.add_argument("--format", choices=("json", "text"), default=default_format)
         p.add_argument("--budget-half-edges", type=int, default=None, dest="budget_half_edges")
         p.add_argument("--budget-classes", type=int, default=None, dest="budget_classes")
 
     p_expand = sub.add_parser("expand", help="print one generating series")
     p_expand.add_argument("what", choices=EXPAND_TARGETS)
-    common(p_expand)
-    p_expand.set_defaults(func=cmd_expand, default_format="json")
+    common(p_expand, 6, "json")
+    p_expand.set_defaults(func=cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run identity-verification suites")
     p_verify.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
-    common(p_verify, default_degree=None)
-    p_verify.set_defaults(func=cmd_verify, default_format="text")
+    common(p_verify, None, "text")
+    p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="stream a census as JSON lines")
     p_enum.add_argument("family", choices=graphoracle.FAMILIES)
     p_enum.add_argument("--n", type=int, required=True, help="number of labeled legs")
-    common(p_enum)
-    p_enum.set_defaults(func=cmd_enumerate, default_format="json")
+    common(p_enum, 6, "json")
+    p_enum.set_defaults(func=cmd_enumerate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.max_degree_given = args.max_degree is not None
-    if args.max_degree is None:
-        args.max_degree = 6
-    if args.format is None:
-        args.format = args.default_format
+    args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,6 +60,23 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_BUDGET = Budget()
 
 
+def sized_budget(
+    degree: int = 0, max_half_edges: int | None = None, max_classes: int | None = None
+) -> Budget:
+    """The budget of a run whose censuses go up to ``degree`` legs.
+
+    A census graph with n legs has at most n vertices on its cycle and at
+    most 3n half-edges, so the default half-edge and leg limits grow to
+    cover the degree; degree 0 keeps the defaults.  A limit that is given
+    replaces the one it names.
+    """
+    if max_half_edges is None:
+        max_half_edges = max(DEFAULT_BUDGET.max_half_edges, 3 * degree)
+    if max_classes is None:
+        max_classes = DEFAULT_BUDGET.max_classes
+    return Budget(max_half_edges, max(DEFAULT_BUDGET.max_legs, degree), max_classes)
+
+
 class DecoratedGraph:
     """A decorated half-edge graph.
 
@@ -368,31 +385,6 @@ def _ordered_set_partitions(items, sizes):
             yield (blk,) + tail
 
 
-def _decoration_options(summands, ports):
-    """All (summand index, block map) decorations of a vertex whose
-    half-edges are ``ports``."""
-    out = []
-    for idx, lam in enumerate(summands):
-        for blocks in _ordered_set_partitions(ports, lam):
-            bm = {}
-            for j, blk in enumerate(blocks):
-                for h in blk:
-                    bm[h] = j
-            out.append((idx, bm))
-    return out
-
-
-def _distributions(labels, counts):
-    """Split the label tuple into per-slot subsets of the given sizes."""
-    if not counts:
-        yield ()
-        return
-    for chosen in combinations(labels, counts[0]):
-        remaining = tuple(x for x in labels if x not in chosen)
-        for tail in _distributions(remaining, counts[1:]):
-            yield (chosen,) + tail
-
-
 def _compositions(total, k, allowed):
     if k == 0:
         if total == 0:
@@ -431,6 +423,66 @@ def _insert(census, canon, value, budget):
         census[canon] = value
 
 
+# -- graph assembly: both enumerators build their graphs here -------------
+
+
+def _layout(valences, budget: Budget):
+    """Half-edge numbering of a vertex layout: vertex v owns the half-edges
+    offsets[v], ..., offsets[v] + valences[v] - 1.  Returns (offsets,
+    vertex_of) once the half-edge count is checked against the budget."""
+    H = sum(valences)
+    if H > budget.max_half_edges:
+        raise BudgetExceededError(f"{H} half-edges exceed budget {budget.max_half_edges}")
+    offsets = []
+    vertex_of = []
+    for v, m in enumerate(valences):
+        offsets.append(len(vertex_of))
+        vertex_of.extend([v] * m)
+    return offsets, vertex_of
+
+
+def _decorations(summands, offsets, valences):
+    """Every decoration of a layout as (dec_index, dec_block) pairs, where
+    ``summands[v]`` lists the module's summands at vertex v."""
+    per_vertex = []
+    for v, lams in enumerate(summands):
+        ports = tuple(range(offsets[v], offsets[v] + valences[v]))
+        per_vertex.append(
+            [
+                (idx, blocks)
+                for idx, lam in enumerate(lams)
+                for blocks in _ordered_set_partitions(ports, lam)
+            ]
+        )
+    out = []
+    for combo in product(*per_vertex):
+        dec_block = [0] * sum(valences)
+        for _, blocks in combo:
+            for j, blk in enumerate(blocks):
+                for h in blk:
+                    dec_block[h] = j
+        out.append((tuple(idx for idx, _ in combo), dec_block))
+    return out
+
+
+def _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, pairings, mark=None):
+    """Every graph on one layout, nested by leg assignment, edge set and
+    decoration: vertex v's labels ``assign[v]`` go on its half-edges from
+    ``leg_starts[v]`` on, and each pair of half-edges is an edge."""
+    H = len(vertex_of)
+    for assign in assigns:
+        leg_label = [-1] * H
+        for start, labels in zip(leg_starts, assign):
+            leg_label[start : start + len(labels)] = labels
+        for pairs in pairings:
+            inv = list(range(H))
+            for a, b in pairs:
+                inv[a] = b
+                inv[b] = a
+            for dec_index, dec_block in decorations:
+                yield DecoratedGraph(vertex_of, inv, genus, leg_label, dec_index, dec_block, mark)
+
+
 def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, budget: Budget, labeled: bool):
     """Necklaces: every vertex genus 0 and on the single cycle, legs
     attached directly to cycle vertices.
@@ -443,65 +495,31 @@ def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, budget: Budget, l
     legs 1..n; unlabeled ones give every leg the label 1, so each layout
     yields one graph per decoration.
     """
-    by_legcount = {}
-    for m, lams in spec.genus0.items():
-        if lams:
-            by_legcount[m - 2] = lams
+    by_legcount = {m - 2: lams for m, lams in spec.genus0.items() if lams}
     allowed = tuple(sorted(lc for lc in by_legcount if lc >= 1))
-    labels = tuple(range(1, n + 1))
     for k in range(1, n + 1):
         for comp in _compositions(n, k, allowed):
-            H = 2 * k + n
-            if H > budget.max_half_edges:
-                raise BudgetExceededError(
-                    f"{H} half-edges exceed budget {budget.max_half_edges}"
-                )
-            offsets = []
-            base = 0
-            vertex_of = []
-            for j, lc in enumerate(comp):
-                offsets.append(base)
-                base += lc + 2
-                vertex_of.extend([j] * (lc + 2))
-            inv = list(range(H))
-            for j in range(k):
-                a = offsets[j] + 1
-                b = offsets[(j + 1) % k]
-                inv[a] = b
-                inv[b] = a
-            mark = [MARK_NONE] * H
+            valences = [lc + 2 for lc in comp]
+            offsets, vertex_of = _layout(valences, budget)
+            mark = None
             if oriented:
-                for j in range(k):
-                    mark[offsets[j]] = MARK_PREV
-                    mark[offsets[j] + 1] = MARK_NEXT
-            dec_opts = [
-                _decoration_options(
-                    by_legcount[lc], tuple(range(offsets[j], offsets[j] + lc + 2))
-                )
-                for j, lc in enumerate(comp)
-            ]
-            genus_list = (0,) * k
+                mark = [MARK_NONE] * len(vertex_of)
+                for base in offsets:
+                    mark[base] = MARK_PREV
+                    mark[base + 1] = MARK_NEXT
             if labeled:
                 # any layout can be rotated so that the vertex carrying leg 1
                 # sits at position 0, and the rotated composition is also
                 # enumerated; pinning label 1 there only removes duplicates
-                assigns = (a for a in _distributions(labels, comp) if 1 in a[0])
+                assigns = (a for a in _ordered_set_partitions(range(1, n + 1), comp) if 1 in a[0])
             else:
                 assigns = (tuple((1,) * lc for lc in comp),)
-            for assign in assigns:
-                leg_label = [-1] * H
-                for j, lc in enumerate(comp):
-                    for t, lab in enumerate(assign[j]):
-                        leg_label[offsets[j] + 2 + t] = lab
-                for dec_combo in product(*dec_opts):
-                    dec_index = tuple(d[0] for d in dec_combo)
-                    dec_block = [0] * H
-                    for _, bm in dec_combo:
-                        for h, blk in bm.items():
-                            dec_block[h] = blk
-                    yield DecoratedGraph(
-                        vertex_of, inv, genus_list, leg_label, dec_index, dec_block, mark
-                    )
+            cycle = tuple((offsets[j] + 1, offsets[(j + 1) % k]) for j in range(k))
+            decorations = _decorations([by_legcount[lc] for lc in comp], offsets, valences)
+            leg_starts = [base + 2 for base in offsets]
+            yield from _layout_graphs(
+                vertex_of, (0,) * k, decorations, leg_starts, assigns, (cycle,), mark
+            )
 
 
 def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
@@ -557,24 +575,6 @@ def _int_splits(valences, total, lo):
     yield from rec(0, total)
 
 
-def _structure_ok(V, pairs, vertex_of, b1_target):
-    parent = list(range(V))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = V
-    for a, b in pairs:
-        ra, rb = find(vertex_of[a]), find(vertex_of[b])
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps == 1 and len(pairs) - V + 1 == b1_target
-
-
 def _matching_census(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget: Budget):
     """Connected decorated graphs built from raw perfect matchings of
     internal ports.
@@ -595,80 +595,44 @@ def _matching_census(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget
             continue
         V = 1
         while True:
+            # a connected graph on V vertices with E = V - 1 + b1 edges has
+            # first Betti number b1
             E = V - 1 + b1
             need = 2 * E + nlegs
             min_need = 3 * (V - 1) + prof1[0] if uses_g1 else 3 * V
             if min_need > need:
                 break
-            shapes = list(_vertex_shapes(prof0, prof1, V, need, uses_g1))
-            if shapes:
-                if need > budget.max_half_edges:
-                    raise BudgetExceededError(
-                        f"{need} half-edges exceed budget {budget.max_half_edges}"
-                    )
-                for shape in shapes:
-                    _fill_shape(spec, shape, E, leg_labels, b1, census, budget)
+            for shape in _vertex_shapes(prof0, prof1, V, need, uses_g1):
+                _fill_shape(spec, shape, E, leg_labels, census, budget)
             V += 1
     return dict(sorted(census.items()))
 
 
-def _fill_shape(spec, shape, E, leg_labels, b1_target, census, budget):
+def _fill_shape(spec, shape, E, leg_labels, census, budget):
     V = len(shape)
-    genus_list = tuple(g for g, _ in shape)
+    genus = tuple(g for g, _ in shape)
     valences = [m for _, m in shape]
-    H = sum(valences)
-    offsets = []
-    base = 0
-    vertex_of = []
-    for v, m in enumerate(valences):
-        offsets.append(base)
-        base += m
-        vertex_of.extend([v] * m)
-    ports_of = [tuple(range(offsets[v], offsets[v] + valences[v])) for v in range(V)]
-    dec_combos = list(
-        product(
-            *(
-                _decoration_options(
-                    spec.genus0[m] if g == 0 else spec.genus1[m], ports_of[v]
-                )
-                for v, (g, m) in enumerate(shape)
-            )
-        )
+    offsets, vertex_of = _layout(valences, budget)
+    decorations = _decorations(
+        [spec.genus0[m] if g == 0 else spec.genus1[m] for g, m in shape], offsets, valences
     )
     min_internal = 1 if V > 1 else 0
     for int_counts in _int_splits(valences, 2 * E, min_internal):
-        leg_counts = tuple(m - i for m, i in zip(valences, int_counts))
         internal_ports = tuple(
-            h for v in range(V) for h in ports_of[v][: int_counts[v]]
+            h for v in range(V) for h in range(offsets[v], offsets[v] + int_counts[v])
         )
-        valid = [
+        connected = [
             pairs
             for pairs in _perfect_matchings(internal_ports)
-            if _structure_ok(V, pairs, vertex_of, b1_target)
+            if _component_count(V, pairs, vertex_of) == 1
         ]
-        if not valid:
+        if not connected:
             continue
-        for assign in _distributions(leg_labels, leg_counts):
-            leg_label = [-1] * H
-            for v in range(V):
-                start = offsets[v] + int_counts[v]
-                for t, lab in enumerate(assign[v]):
-                    leg_label[start + t] = lab
-            for pairs in valid:
-                inv = list(range(H))
-                for a, b in pairs:
-                    inv[a] = b
-                    inv[b] = a
-                for dec_combo in dec_combos:
-                    dec_index = tuple(d[0] for d in dec_combo)
-                    dec_block = [0] * H
-                    for _, bm in dec_combo:
-                        for h, blk in bm.items():
-                            dec_block[h] = blk
-                    graph = DecoratedGraph(
-                        vertex_of, inv, genus_list, leg_label, dec_index, dec_block
-                    )
-                    _insert(census, canonical_form(graph), graph, budget)
+        leg_counts = tuple(m - i for m, i in zip(valences, int_counts))
+        leg_starts = [base + i for base, i in zip(offsets, int_counts)]
+        assigns = _ordered_set_partitions(leg_labels, leg_counts)
+        for graph in _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, connected):
+            _insert(census, canonical_form(graph), graph, budget)
 
 
 def _check_leg_count(n, budget: Budget):
@@ -678,39 +642,23 @@ def _check_leg_count(n, budget: Budget):
         raise BudgetExceededError(f"{n} legs exceed budget {budget.max_legs}")
 
 
-_census_cache: dict = {}
-
-
-def _spec_key(spec: ModuleSpec):
-    return (tuple(sorted(spec.genus0.items())), tuple(sorted(spec.genus1.items())))
-
-
 def enumerate_decorated(spec: ModuleSpec, family: str, n: int, budget: Budget | None = None):
     """All isomorphism classes in the family with legs labeled 1..n (rooted
     trees carry an extra distinguished leg 0).
 
-    Returns a dict from canonical form to a representative graph, ordered
-    by canonical form.  Results are memoized per (spec, family, n, budget);
-    the enumeration is pure, so cached censuses are always valid.
+    Returns a new dict from canonical form to a representative graph,
+    ordered by canonical form.
     """
     if budget is None:
         budget = DEFAULT_BUDGET
     _check_leg_count(n, budget)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    key = (_spec_key(spec), family, n, budget)
-    census = _census_cache.get(key)
-    if census is None:
-        if family == "necklace":
-            census = _necklace_census(spec, n, False, budget)
-        elif family == "oriented-necklace":
-            census = _necklace_census(spec, n, True, budget)
-        elif family == "genus1-stable":
-            census = _matching_census(spec, tuple(range(1, n + 1)), True, budget)
-        else:
-            census = _matching_census(spec, tuple(range(0, n + 1)), False, budget)
-        _census_cache[key] = census
-    return dict(census)
+    if family == "genus1-stable":
+        return _matching_census(spec, tuple(range(1, n + 1)), True, budget)
+    if family == "rooted-tree":
+        return _matching_census(spec, tuple(range(0, n + 1)), False, budget)
+    return _necklace_census(spec, n, family == "oriented-necklace", budget)
 
 
 # -- characters -----------------------------------------------------------
@@ -817,6 +765,10 @@ def _necklace_aut_char(spec: ModuleSpec, n: int, oriented: bool, truncation: int
             lam = cycle_type(action)
             terms[lam] = terms.get(lam, 0) + weight
     return SymFunc(truncation, terms)
+
+
+def _spec_key(spec: ModuleSpec):
+    return (tuple(sorted(spec.genus0.items())), tuple(sorted(spec.genus1.items())))
 
 
 _char_cache: dict = {}

@@ -436,16 +436,23 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     gval = g.valuation()
     if gval is None:
         gval = N + 1
-    adams_cache: dict[int, SymFunc] = {}
-    out = SymFunc.zero(N)
-    for lam, c in f._terms.items():
-        if sum(lam) * gval > N:
-            continue
-        acc = SymFunc.one(N)
-        for part in lam:
-            factor = adams_cache.get(part)
+    terms = ((lam, c) for lam, c in f._terms.items() if sum(lam) * gval <= N)
+    return _substitute(terms, lambda part: adams(part, g), N)
+
+
+def _substitute(terms, image, truncation: int) -> SymFunc:
+    """sum c * image(x_1) * image(x_2) * ... over the (monomial, c) pairs
+    in ``terms``, a monomial being the tuple of its factors x_i; ``image``
+    is called once per distinct factor, and a product that reaches zero
+    stops early."""
+    cache: dict = {}
+    out = SymFunc.zero(truncation)
+    for key, c in terms:
+        acc = SymFunc.one(truncation)
+        for x in key:
+            factor = cache.get(x)
             if factor is None:
-                factor = adams_cache[part] = adams(part, g)
+                factor = cache[x] = image(x)
             acc = acc * factor
             if acc.is_zero():
                 break

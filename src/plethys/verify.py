@@ -51,19 +51,6 @@ SUITE_DEFAULT_DEGREE = {
 SUITE_NAMES = tuple(SUITE_DEFAULT_DEGREE)
 
 
-def _census_budget(max_degree: int, budget: Budget | None) -> Budget:
-    """Size the enumeration budget to the requested degree: a census graph
-    of degree d has at most d vertices on its cycle and at most 3d
-    half-edges."""
-    if budget is not None:
-        return budget
-    base = Budget()
-    return Budget(
-        max_half_edges=max(base.max_half_edges, 3 * max_degree),
-        max_legs=max(base.max_legs, max_degree),
-    )
-
-
 def _first_difference(f: SymFunc, g: SymFunc, max_degree: int):
     for d in range(max_degree + 1):
         if f.degree_part(d) != g.degree_part(d):
@@ -78,7 +65,7 @@ def _diff_detail(f: SymFunc, g: SymFunc, max_degree: int):
     return f"first differing degree {d}: {f.degree_part(d)} vs {g.degree_part(d)}"
 
 
-def run_bb(max_degree: int = SUITE_DEFAULT_DEGREE["bb"], **_ignored) -> SuiteResult:
+def run_bb(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """Closed form of the cyclically-ordered corolla series against the
     averages over cyclic subgroups."""
     closed = ass_series(max_degree, method="closed")
@@ -87,7 +74,7 @@ def run_bb(max_degree: int = SUITE_DEFAULT_DEGREE["bb"], **_ignored) -> SuiteRes
     return SuiteResult("bb", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_generating(max_degree: int = SUITE_DEFAULT_DEGREE["generating"], **_ignored) -> SuiteResult:
+def run_generating(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """Per-degree closed dihedral characters against hyperoctahedral
     subgroup averages and against the closed generating series."""
     series = dih_series_closed(max_degree)
@@ -105,7 +92,7 @@ def run_generating(max_degree: int = SUITE_DEFAULT_DEGREE["generating"], **_igno
     return SuiteResult("generating", True, f"exact for all degrees <= {max_degree}")
 
 
-def run_deg1(max_degree: int = SUITE_DEFAULT_DEGREE["deg1"], **_ignored) -> SuiteResult:
+def run_deg1(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """Differential-operator pairing against the orbit-counting oracle."""
     N = max(max_degree, 5)
     cases_g = [((4,), h_gen(4, N)), ((3, 2), h_lambda((3, 2), N))]
@@ -128,14 +115,8 @@ def run_deg1(max_degree: int = SUITE_DEFAULT_DEGREE["deg1"], **_ignored) -> Suit
     return SuiteResult("deg1", True, "all operator/orbit pairings agree")
 
 
-def run_cyclic(
-    spec: ModuleSpec | None = None,
-    max_degree: int = SUITE_DEFAULT_DEGREE["cyclic"],
-    budget: Budget | None = None,
-) -> SuiteResult:
+def run_cyclic(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """Cyclically-oriented necklace series against the oriented census."""
-    spec = spec or ModuleSpec.standard()
-    budget = _census_budget(max_degree, budget)
     working = max(max_degree, spec.max_arity())
     a0 = a_series(spec, 0, working)
     formula = cyclic_necklace_series(a0)
@@ -148,15 +129,9 @@ def run_cyclic(
     return SuiteResult("cyclic", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_necklaces(
-    spec: ModuleSpec | None = None,
-    max_degree: int = SUITE_DEFAULT_DEGREE["necklaces"],
-    budget: Budget | None = None,
-) -> SuiteResult:
+def run_necklaces(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """Unordered necklace series (both computation paths) against the
     unordered census."""
-    spec = spec or ModuleSpec.standard()
-    budget = _census_budget(max_degree, budget)
     working = max(max_degree, spec.max_arity())
     a0 = a_series(spec, 0, working)
     direct = necklace_series(a0, method="direct")
@@ -171,15 +146,8 @@ def run_necklaces(
     return SuiteResult("necklaces", detail is None, detail or f"both paths match census through degree {max_degree}")
 
 
-def run_theorem(
-    spec: ModuleSpec | None = None,
-    max_degree: int = SUITE_DEFAULT_DEGREE["theorem"],
-    budget: Budget | None = None,
-) -> SuiteResult:
+def run_theorem(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """End-to-end genus-one series against the full stable-graph census."""
-    spec = spec or ModuleSpec.standard()
-    if budget is None and 3 * max_degree > Budget().max_half_edges:
-        budget = _census_budget(max_degree, None)
     formula = b1_series(spec, max_degree)
     census_sum = SymFunc.zero(max_degree)
     for n in range(1, max_degree + 1):
@@ -188,17 +156,11 @@ def run_theorem(
     return SuiteResult("theorem", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_negative_dih(
-    spec: ModuleSpec | None = None,
-    max_degree: int = SUITE_DEFAULT_DEGREE["negative-dih"],
-    budget: Budget | None = None,
-) -> SuiteResult:
+def run_negative_dih(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """Negative control: treating the dihedral groups as plain subgroups of
     the symmetric groups and substituting the doubly-marked genus-0 series
     must NOT reproduce the necklace census; the suite passes when a
     difference is found."""
-    spec = spec or ModuleSpec.standard()
-    budget = _census_budget(max_degree, budget)
     working = max(max_degree, spec.max_arity())
     a0 = a_series(spec, 0, working)
     core = second_leg_series(a0)
@@ -216,6 +178,8 @@ def run_negative_dih(
     return SuiteResult("negative-dih", True, f"difference detected at degree {d}, as required")
 
 
+# every runner takes (spec, max_degree, budget); the closed-form suites
+# read only the degree
 _RUNNERS = {
     "bb": run_bb,
     "generating": run_generating,
@@ -231,20 +195,29 @@ def run_suite(
     name: str,
     spec: ModuleSpec | None = None,
     max_degree: int | None = None,
-    budget: Budget | None = None,
+    max_half_edges: int | None = None,
+    max_classes: int | None = None,
 ) -> SuiteResult:
+    """Run one suite on ``spec`` (the standard module by default) at
+    ``max_degree`` (the suite's own default degree by default).  Its census
+    budget is sized from that degree (``graphoracle.sized_budget``); a
+    given limit replaces the one it names."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
-    kwargs = {"max_degree": max_degree if max_degree is not None else SUITE_DEFAULT_DEGREE[name]}
-    if name in ("cyclic", "necklaces", "theorem", "negative-dih"):
-        kwargs["spec"] = spec
-        kwargs["budget"] = budget
-    return _RUNNERS[name](**kwargs)
+    if spec is None:
+        spec = ModuleSpec.standard()
+    if max_degree is None:
+        max_degree = SUITE_DEFAULT_DEGREE[name]
+    budget = graphoracle.sized_budget(max_degree, max_half_edges, max_classes)
+    return _RUNNERS[name](spec, max_degree, budget)
 
 
 def run_all(
     spec: ModuleSpec | None = None,
     max_degree: int | None = None,
-    budget: Budget | None = None,
+    max_half_edges: int | None = None,
+    max_classes: int | None = None,
 ) -> list[SuiteResult]:
-    return [run_suite(name, spec, max_degree, budget) for name in SUITE_NAMES]
+    return [
+        run_suite(name, spec, max_degree, max_half_edges, max_classes) for name in SUITE_NAMES
+    ]

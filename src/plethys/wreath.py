@@ -24,6 +24,7 @@ from itertools import groupby
 from .symfunc import (
     SymFunc,
     _TruncatedSeries,
+    _substitute,
     adams,
     euler_phi,
     geom,
@@ -160,30 +161,14 @@ def specialize_s2(w: WreathSymFunc, f: SymFunc) -> SymFunc:
     """
     if w.truncation != f.truncation:
         raise ValueError(f"truncation mismatch: {w.truncation} vs {f.truncation}")
-    N = f.truncation
     fpp = partial_p(1, partial_p(1, f))
     fdot = partial_p(2, f)
-    cache: dict[tuple, SymFunc] = {}
 
-    def factor(k: int, tag: str) -> SymFunc:
-        got = cache.get((k, tag))
-        if got is None:
-            if tag == E_CLASS:
-                got = adams(k, fpp)
-            else:
-                got = adams(k, fdot) * 2
-            cache[(k, tag)] = got
-        return got
+    def image(factor) -> SymFunc:
+        k, tag = factor
+        return adams(k, fpp) if tag == E_CLASS else adams(k, fdot) * 2
 
-    out = SymFunc.zero(N)
-    for key, c in w._terms.items():
-        acc = SymFunc.one(N)
-        for k, tag in key:
-            acc = acc * factor(k, tag)
-            if acc.is_zero():
-                break
-        out = out + acc * c
-    return out
+    return _substitute(w._terms.items(), image, f.truncation)
 
 
 def deg1_iso(lam, truncation: int) -> SymFunc:

@@ -149,6 +149,29 @@ def test_enumerate_budget_exit_code(capsys, tiny_spec):
         assert "budget" in err
 
 
+def test_budget_flag_replaces_only_its_limit(capsys):
+    # the flag's value is the default class limit; the half-edge and leg
+    # limits are still sized from the suite's degree
+    code, out, err = run(
+        capsys, ["verify", "cyclic", "--max-degree", "5", "--budget-classes", "1000000"]
+    )
+    assert code == 0, err
+    assert out.startswith("cyclic: PASS")
+
+
+@pytest.mark.parametrize("flag", ["--budget-classes", "--budget-half-edges"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_budget_flags_below_one_are_input_errors(capsys, tiny_spec, flag, value):
+    for argv in (
+        ["verify", "cyclic", "--max-degree", "3"],
+        ["enumerate", "necklace", "--n", "2", "--spec", tiny_spec],
+    ):
+        code, out, err = run(capsys, argv + [flag, value])
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be >= 1" in err
+
+
 def test_malformed_spec_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"genus0": {"3": [[2]]}}')

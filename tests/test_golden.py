@@ -1,11 +1,16 @@
-"""Byte-level golden outputs of ``plethys expand`` at degree 8.
+"""Byte-level golden outputs of ``plethys expand`` and ``plethys enumerate``.
 
-Each digest is the sha256 of the full stdout of
+Each ``expand`` digest is the sha256 of the full stdout of
 ``plethys expand T --max-degree 8 --format F``, with the standard module
 written out as ``--spec`` for the targets that need one.  They pin the
 rendering and the JSON form of both ``SymFunc`` and ``WreathSymFunc``
 (``dih``) well above degree 1, so a refactor of the algebra that changes a
 single byte of output fails here.
+
+Each ``enumerate`` digest is the sha256 of the full stdout of
+``plethys enumerate F --n N --spec STANDARD``: the canonical encodings of
+every class of the labeled census, in order, and the class count.  They pin
+the enumerators and the canonical labeling.
 """
 
 import hashlib
@@ -31,6 +36,13 @@ GOLDEN = {
     ("b1", "text"): "299185d5785d72591238e1237d81563ee2c4538c88e9cf68546e47f2091bd976",
 }
 
+ENUMERATE_GOLDEN = {
+    ("necklace", 4): "fdd425f6d03c78314f108d07bb2d956b5222384bfd27aaa2eadf9386cd2e7566",
+    ("oriented-necklace", 4): "3a8031c5ca5e33fabd1f0f9fb0487d147b4e9271ef448b2bf8b37b886c83dbac",
+    ("genus1-stable", 3): "c41f1f9dd1c1d2475db6c2b03faf423c1fa3a6dfd79ada759a930f35eb741cff",
+    ("rooted-tree", 4): "3d27551ca68e77e716990d9145549396455a5ccf45c15b2902c5c19ec54c3cd5",
+}
+
 
 @pytest.fixture(scope="module")
 def standard_spec(tmp_path_factory):
@@ -47,3 +59,10 @@ def test_expand_output_digest(capsys, standard_spec, target, fmt):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[target, fmt]
+
+
+@pytest.mark.parametrize("family, n", sorted(ENUMERATE_GOLDEN))
+def test_enumerate_output_digest(capsys, standard_spec, family, n):
+    assert main(["enumerate", family, "--n", str(n), "--spec", standard_spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ENUMERATE_GOLDEN[family, n]

@@ -216,6 +216,16 @@ def test_budget_enforcement():
         go.necklace_char_oracle(STD, 4, 3)
 
 
+def test_sized_budget():
+    # up to degree 4 a census fits the defaults; above, a graph with n legs
+    # needs up to 3n half-edges and n legs
+    assert go.sized_budget() == go.sized_budget(4) == Budget()
+    assert go.sized_budget(6) == Budget(max_half_edges=18, max_legs=6)
+    # a given limit replaces only the one it names
+    assert go.sized_budget(6, max_classes=7) == Budget(max_half_edges=18, max_legs=6, max_classes=7)
+    assert go.sized_budget(6, max_half_edges=9) == Budget(max_half_edges=9, max_legs=6)
+
+
 def test_char_of_census_examples():
     N = 6
     single = enumerate_decorated(TINY, "necklace", 1)
