@@ -5,8 +5,10 @@ Subcommands:
   verify     run identity-verification suites; exit 1 on any failure
   enumerate  stream a decorated-graph census as JSON lines
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exceeded.  The environment variable PLETHYS_THREADS caps internal
+Each subcommand takes only the options it reads; any other is a usage
+error.  Exit codes: 0 success, 1 verification failure, 2 input error
+(usage errors included), 3 budget exceeded, 4 internal fault (reported
+with its traceback).  The environment variable PLETHYS_THREADS caps internal
 parallelism; the current implementation is sequential, which satisfies any
 cap, but the value is still validated.
 """
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 EXPAND_TARGETS = ("ass", "cyclic-necklaces", "necklaces", "dih", "tree", "b1")
 SPEC_REQUIRED = {"cyclic-necklaces", "necklaces", "tree", "b1"}
@@ -60,16 +63,18 @@ def _read_threads() -> int:
 def _check_args(args) -> None:
     _read_threads()  # validated only: every run is sequential
     for flag in ("max_degree", "budget_half_edges", "budget_classes"):
-        value = getattr(args, flag)
+        value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise InputError(f"--{flag.replace('_', '-')} must be >= 1")
+    if getattr(args, "n", 1) < 1:
+        raise InputError("--n must be >= 1: enumeration needs at least one labeled leg")
 
 
 def _load_spec(path: str) -> ModuleSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ModuleSpecError(f"spec file is not valid JSON: {exc}")
     return ModuleSpec.from_json_obj(obj)
 
@@ -136,8 +141,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.spec is None:
-        raise InputError("enumerate requires --spec")
     spec = _load_spec(args.spec)
     budget = graphoracle.sized_budget(
         max_half_edges=args.budget_half_edges, max_classes=args.budget_classes
@@ -156,27 +159,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_degree, default_format):
+    def series_options(p, default_degree, default_format):
         p.add_argument("--max-degree", type=int, default=default_degree, dest="max_degree")
         p.add_argument("--spec", type=str, default=None, help="path to a module-spec JSON file")
         p.add_argument("--format", choices=("json", "text"), default=default_format)
+
+    def budgets(p):
         p.add_argument("--budget-half-edges", type=int, default=None, dest="budget_half_edges")
         p.add_argument("--budget-classes", type=int, default=None, dest="budget_classes")
 
     p_expand = sub.add_parser("expand", help="print one generating series")
     p_expand.add_argument("what", choices=EXPAND_TARGETS)
-    common(p_expand, 6, "json")
+    series_options(p_expand, 6, "json")
     p_expand.set_defaults(func=cmd_expand)
 
     p_verify = sub.add_parser("verify", help="run identity-verification suites")
     p_verify.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
-    common(p_verify, None, "text")
+    series_options(p_verify, None, "text")
+    budgets(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="stream a census as JSON lines")
     p_enum.add_argument("family", choices=graphoracle.FAMILIES)
     p_enum.add_argument("--n", type=int, required=True, help="number of labeled legs")
-    common(p_enum, 6, "json")
+    p_enum.add_argument("--spec", type=str, required=True, help="path to a module-spec JSON file")
+    budgets(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser
@@ -200,9 +207,13 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except Exception:
+        # valid input never gets here: anything else is a fault in plethys
+        import traceback  # imported here, it stays out of every start-up
+
+        print("error: internal fault", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ counts over the leg-labeled census (``char_of_census``), which also
 serves the tests as the independent reference for the necklace path.
 Everything here is deliberately independent of the closed formulas it is
 used to check: families are enumerated from raw matchings or cycle
-layouts and compared degreewise against the series module.
+layouts and compared degreewise against the series module.  Every oracle
+is a plain function of its arguments and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .groups import Perm, cycle_type
+from .groups import Perm, ind_trivial_char
 from .series import ModuleSpec
 from .symfunc import SymFunc, _validate_partition, partitions_of, z_of
 
@@ -95,7 +96,6 @@ class DecoratedGraph:
         "dec_index",
         "dec_block",
         "mark",
-        "_canon",
     )
 
     def __init__(self, vertex_of, inv, genus, leg_label, dec_index, dec_block, mark=None):
@@ -106,7 +106,6 @@ class DecoratedGraph:
         self.dec_index = tuple(dec_index)
         self.dec_block = tuple(dec_block)
         self.mark = tuple(mark) if mark is not None else (MARK_NONE,) * len(self.vertex_of)
-        self._canon = None
 
     def half_edge_count(self) -> int:
         return len(self.vertex_of)
@@ -219,10 +218,8 @@ def _rank(items):
 
 def canonical_form(graph: DecoratedGraph):
     """Canonical encoding of a decorated graph, identical for isomorphic
-    graphs and distinct otherwise; cached on the graph."""
-    if graph._canon is None:
-        graph._canon = _canonical_search(graph)[0]
-    return graph._canon
+    graphs and distinct otherwise."""
+    return _canonical_search(graph)[0]
 
 
 def _canonical_search(graph: DecoratedGraph):
@@ -755,65 +752,38 @@ def _necklace_aut_char(spec: ModuleSpec, n: int, oriented: bool, truncation: int
     p_{type(a)} = (1/|S|) sum_{s in S} p_{type(s)} is their Burnside
     average.
     """
-    classes = _unlabeled_necklace_classes(spec, n, oriented, budget)
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
-    terms = {}
-    for graph, orders in classes.values():
-        weight = Fraction(1, len(orders))
-        for action in _leg_actions(graph, orders):
-            lam = cycle_type(action)
-            terms[lam] = terms.get(lam, 0) + weight
-    return SymFunc(truncation, terms)
-
-
-def _spec_key(spec: ModuleSpec):
-    return (tuple(sorted(spec.genus0.items())), tuple(sorted(spec.genus1.items())))
-
-
-_char_cache: dict = {}
-
-
-def _family_char(spec, family, n, truncation, budget):
-    """Necklace characters come from the automorphism groups of the
-    leg-unlabeled classes; the other families average leg-relabeling fixed
-    counts over their labeled censuses (``char_of_census``)."""
-    key = (_spec_key(spec), family, n, truncation, budget)
-    got = _char_cache.get(key)
-    if got is None:
-        if family in ("necklace", "oriented-necklace"):
-            oriented = family == "oriented-necklace"
-            got = _necklace_aut_char(spec, n, oriented, truncation, budget or DEFAULT_BUDGET)
-        else:
-            got = char_of_census(enumerate_decorated(spec, family, n, budget), n, truncation)
-        _char_cache[key] = got
-    return got
+    out = SymFunc.zero(truncation)
+    for graph, orders in _unlabeled_necklace_classes(spec, n, oriented, budget).values():
+        out = out + ind_trivial_char(_leg_actions(graph, orders), truncation)
+    return out
 
 
 def mv_char(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of all decorated stable graphs of total genus one with n
     legs (including the bare genus-1 corolla), by Burnside averaging over
     the labeled census."""
-    return _family_char(spec, "genus1-stable", n, truncation, budget)
+    return char_of_census(enumerate_decorated(spec, "genus1-stable", n, budget), n, truncation)
 
 
 def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of the unordered necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
-    return _family_char(spec, "necklace", n, truncation, budget)
+    return _necklace_aut_char(spec, n, False, truncation, budget or DEFAULT_BUDGET)
 
 
 def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of the cyclically oriented necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
-    return _family_char(spec, "oriented-necklace", n, truncation, budget)
+    return _necklace_aut_char(spec, n, True, truncation, budget or DEFAULT_BUDGET)
 
 
 def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of rooted genus-0 trees (root leg 0 distinguished) as a
     module over permutations of the legs 1..n, by Burnside averaging over
     the labeled census."""
-    return _family_char(spec, "rooted-tree", n, truncation, budget)
+    return char_of_census(enumerate_decorated(spec, "rooted-tree", n, budget), n, truncation)
 
 
 def hom_char(action: str, glam, truncation: int) -> SymFunc:

@@ -192,7 +192,7 @@ def cyclic_necklace_series(a0: SymFunc) -> SymFunc:
     return out
 
 
-def necklace_series_direct(a0: SymFunc, *, through_edge_reflections: bool = True) -> SymFunc:
+def necklace_series_direct(a0: SymFunc) -> SymFunc:
     """Sum over unordered necklaces of genus-0 vertices, assembled from
     ordinary symmetric-function primitives.
 
@@ -200,9 +200,7 @@ def necklace_series_direct(a0: SymFunc, *, through_edge_reflections: bool = True
     (da0/dp_2 * (1 + da0/dp_2) + (1/4) adams(2, a0'')) / (1 - adams(2, a0'')):
     reflections whose axis passes through a vertex contribute the
     derivative terms, reflections whose axis passes through two edges
-    contribute the quarter term.  ``through_edge_reflections=False`` drops
-    the quarter term; the census comparison then fails, which the test
-    suite uses as a regression guard.
+    contribute the quarter term.
     """
     _check_core_series(a0)
     N = a0.truncation
@@ -212,9 +210,7 @@ def necklace_series_direct(a0: SymFunc, *, through_edge_reflections: bool = True
         out = out + log_inv(adams(n, core)) * Fraction(euler_phi(n), 2 * n)
     adot = partial_p(2, a0)
     psi2 = adams(2, core)
-    refl = adot * (SymFunc.one(N) + adot)
-    if through_edge_reflections:
-        refl = refl + psi2 * Fraction(1, 4)
+    refl = adot * (SymFunc.one(N) + adot) + psi2 * Fraction(1, 4)
     return out + refl * geom(psi2)
 
 

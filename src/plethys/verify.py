@@ -2,7 +2,8 @@
 
 Each suite checks one closed-form identity against an independent
 computation (a group-element average, a graph census, or an orbit count)
-by exact degreewise comparison.  Every suite carries its own default
+by exact degreewise comparison; a census suite enumerates degree by degree
+and stops at its first differing degree.  Every suite carries its own default
 degree, chosen so that ``run_all`` at defaults is exactly the acceptance
 workload; an explicit ``max_degree`` overrides it.
 """
@@ -51,18 +52,35 @@ SUITE_DEFAULT_DEGREE = {
 SUITE_NAMES = tuple(SUITE_DEFAULT_DEGREE)
 
 
-def _first_difference(f: SymFunc, g: SymFunc, max_degree: int):
+def _first_difference(f: SymFunc, part_of, max_degree: int):
+    """The first degree d <= max_degree at which ``f.degree_part(d)`` and
+    ``part_of(d)`` differ, as (d, f's part, the other part), or None.
+    ``part_of`` is called degree by degree and never past that d."""
     for d in range(max_degree + 1):
-        if f.degree_part(d) != g.degree_part(d):
-            return d
+        mine, theirs = f.degree_part(d), part_of(d)
+        if mine != theirs:
+            return d, mine, theirs
     return None
 
 
-def _diff_detail(f: SymFunc, g: SymFunc, max_degree: int):
-    d = _first_difference(f, g, max_degree)
-    if d is None:
+def _census_difference(formula: SymFunc, oracle, spec: ModuleSpec, max_degree: int, budget: Budget):
+    """``_first_difference`` of ``formula`` against a census.
+
+    Every census character is homogeneous of degree n, so degree d of the
+    summed census series is the character ``oracle(spec, d, ...)`` alone;
+    no census past the first differing degree is enumerated.
+    """
+    N = formula.truncation
+    return _first_difference(
+        formula, lambda d: oracle(spec, d, N, budget) if d else SymFunc.zero(N), max_degree
+    )
+
+
+def _diff_detail(diff):
+    if diff is None:
         return None
-    return f"first differing degree {d}: {f.degree_part(d)} vs {g.degree_part(d)}"
+    d, mine, theirs = diff
+    return f"first differing degree {d}: {mine} vs {theirs}"
 
 
 def run_bb(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
@@ -70,7 +88,7 @@ def run_bb(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     averages over cyclic subgroups."""
     closed = ass_series(max_degree, method="closed")
     burnside = ass_series(max_degree, method="burnside")
-    detail = _diff_detail(closed, burnside, max_degree)
+    detail = _diff_detail(_first_difference(closed, burnside.degree_part, max_degree))
     return SuiteResult("bb", detail is None, detail or f"exact through degree {max_degree}")
 
 
@@ -120,12 +138,11 @@ def run_cyclic(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult
     working = max(max_degree, spec.max_arity())
     a0 = a_series(spec, 0, working)
     formula = cyclic_necklace_series(a0)
-    census_sum = SymFunc.zero(working)
-    for n in range(1, max_degree + 1):
-        census_sum = census_sum + graphoracle.cyclic_necklace_char_oracle(
-            spec, n, working, budget
+    detail = _diff_detail(
+        _census_difference(
+            formula, graphoracle.cyclic_necklace_char_oracle, spec, max_degree, budget
         )
-    detail = _diff_detail(formula, census_sum, max_degree)
+    )
     return SuiteResult("cyclic", detail is None, detail or f"exact through degree {max_degree}")
 
 
@@ -136,23 +153,21 @@ def run_necklaces(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteRes
     a0 = a_series(spec, 0, working)
     direct = necklace_series(a0, method="direct")
     wreath_path = necklace_series(a0, method="wreath")
-    detail = _diff_detail(direct, wreath_path, max_degree)
+    detail = _diff_detail(_first_difference(direct, wreath_path.degree_part, max_degree))
     if detail is not None:
         return SuiteResult("necklaces", False, "direct vs wreath path: " + detail)
-    census_sum = SymFunc.zero(working)
-    for n in range(1, max_degree + 1):
-        census_sum = census_sum + graphoracle.necklace_char_oracle(spec, n, working, budget)
-    detail = _diff_detail(direct, census_sum, max_degree)
+    detail = _diff_detail(
+        _census_difference(direct, graphoracle.necklace_char_oracle, spec, max_degree, budget)
+    )
     return SuiteResult("necklaces", detail is None, detail or f"both paths match census through degree {max_degree}")
 
 
 def run_theorem(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """End-to-end genus-one series against the full stable-graph census."""
     formula = b1_series(spec, max_degree)
-    census_sum = SymFunc.zero(max_degree)
-    for n in range(1, max_degree + 1):
-        census_sum = census_sum + graphoracle.mv_char(spec, n, max_degree, budget)
-    detail = _diff_detail(formula, census_sum, max_degree)
+    detail = _diff_detail(
+        _census_difference(formula, graphoracle.mv_char, spec, max_degree, budget)
+    )
     return SuiteResult("theorem", detail is None, detail or f"exact through degree {max_degree}")
 
 
@@ -167,15 +182,12 @@ def run_negative_dih(spec: ModuleSpec, max_degree: int, budget: Budget) -> Suite
     naive = SymFunc.zero(working)
     for n in range(1, max_degree + 1):
         naive = naive + plethysm(ind_trivial_char(dihedral_in_sym(n), working), core)
-    census_sum = SymFunc.zero(working)
-    for n in range(1, max_degree + 1):
-        census_sum = census_sum + graphoracle.necklace_char_oracle(spec, n, working, budget)
-    d = _first_difference(naive, census_sum, max_degree)
-    if d is None:
+    diff = _census_difference(naive, graphoracle.necklace_char_oracle, spec, max_degree, budget)
+    if diff is None:
         return SuiteResult(
             "negative-dih", False, f"no difference found through degree {max_degree}; expected one"
         )
-    return SuiteResult("negative-dih", True, f"difference detected at degree {d}, as required")
+    return SuiteResult("negative-dih", True, f"difference detected at degree {diff[0]}, as required")
 
 
 # every runner takes (spec, max_degree, budget); the closed-form suites

@@ -27,10 +27,11 @@ from plethys.groups import (
     ind_trivial_char,
     wreath_cycle_map,
 )
-from plethys.series import ModuleSpec, a_series, necklace_series_direct
+from plethys.series import ModuleSpec, a_series, necklace_series_direct, second_leg_series
 from plethys.symfunc import (
     SymFunc,
     adams,
+    geom,
     h_gen,
     h_lambda,
     partitions_of,
@@ -89,7 +90,9 @@ def test_criterion_4_regression_guard_quarter_term():
     # at some degree <= 4
     working = max(6, STD.max_arity())
     a0 = a_series(STD, 0, working)
-    crippled = necklace_series_direct(a0, through_edge_reflections=False)
+    # the through-edge reflection term is (1/4) psi2 / (1 - psi2)
+    psi2 = adams(2, second_leg_series(a0))
+    crippled = necklace_series_direct(a0) - psi2 * geom(psi2) * Fraction(1, 4)
     census_sum = SymFunc.zero(working)
     budget = go.Budget(max_half_edges=3 * working, max_legs=working)
     for n in range(1, 5):
@@ -209,11 +212,22 @@ def test_criterion_8e_integer_burnside_counts():
     assert report("criterion 8e (integer averaged counts, 100 cases)", True)
 
 
-def test_verify_all_cli_defaults_exit_zero():
+def test_verify_all_cli_defaults_exit_zero(capsys):
     # the command-line contract: `plethys verify all` at defaults passes
+    # and prints these lines, byte for byte
     code = main(["verify", "all"])
+    out = capsys.readouterr().out
     assert report("verify all at defaults (exit code 0)", code == 0)
     assert code == 0
+    assert out.splitlines() == [
+        "bb: PASS (exact through degree 12)",
+        "generating: PASS (exact for all degrees <= 10)",
+        "deg1: PASS (all operator/orbit pairings agree)",
+        "cyclic: PASS (exact through degree 6)",
+        "necklaces: PASS (both paths match census through degree 6)",
+        "theorem: PASS (exact through degree 4)",
+        "negative-dih: PASS (difference detected at degree 2, as required)",
+    ]
 
 
 def _random_symfunc(rng, truncation, min_degree=1):

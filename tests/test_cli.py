@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from plethys import verify
 from plethys.cli import main
 
 
@@ -188,6 +189,34 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
         code, _, err = run(capsys, argv + ["--spec", str(tmp_path)])
         assert code == 2
         assert err.startswith("error: ")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    code, _, err = run(capsys, ["expand", "b1", "--spec", str(binary)])
+    assert code == 2
+    assert "malformed" in err
+    # each subcommand takes only the options it reads
+    for argv in (
+        ["enumerate", "necklace", "--n", "1", "--spec", str(tmp_path), "--format", "text"],
+        ["expand", "ass", "--max-degree", "2", "--budget-classes", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_internal_fault_exit_code(capsys, monkeypatch):
+    # an exception that no input check raised is a fault in plethys, not
+    # an input error, whatever its type
+    def broken(*args):
+        raise ValueError("broken invariant")
+
+    monkeypatch.setattr(verify, "run_all", broken)
+    code, out, err = run(capsys, ["verify", "all"])
+    assert code == 4
+    assert out == ""
+    assert "internal fault" in err
+    assert "Traceback" in err and "ValueError: broken invariant" in err
 
 
 def test_verify_failure_exit_code(capsys, empty_spec):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from plethys import graphoracle as go
+from plethys import verify
 from plethys.graphoracle import (
     Budget,
     BudgetExceededError,
@@ -214,6 +215,25 @@ def test_budget_enforcement():
         go.necklace_char_oracle(STD, 0, N)
     with pytest.raises(ValueError):
         go.necklace_char_oracle(STD, 4, 3)
+
+
+def test_repeated_runs_do_the_same_work(monkeypatch):
+    # the oracles keep no state between calls: a second in-process run
+    # canonicalizes exactly as many graphs as the first
+    search = go._canonical_search
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return search(graph)
+
+    monkeypatch.setattr(go, "_canonical_search", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert all(r.passed for r in verify.run_all(max_degree=3))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_sized_budget():
