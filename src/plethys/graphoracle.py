@@ -12,9 +12,13 @@ Isomorphisms are half-edge bijections preserving the vertex partition, the
 involution, genus, leg labels, the chosen summand and the block structure
 (blockwise, in order).  Censuses are deduplicated by a canonical form
 computed with invariant refinement plus backtracking over the residual
-symmetry.  The optimal labelings of that search differ exactly by
-automorphisms, so the same search also yields each class's automorphism
-group.
+symmetry.  Refinement stops when a round leaves the class counts
+unchanged, or as soon as the coloring is discrete: a round's signatures
+sort by the old rank first, so on a discrete coloring it would give back
+the same ranks (the discrete-partition stopping rule of McKay and
+Piperno, arXiv:1301.1493).  The optimal labelings of the search differ
+exactly by automorphisms, so the same search also yields each class's
+automorphism group.
 
 Necklace characters are computed from leg-unlabeled classes (every leg
 carries one common label): each class U contributes the cycle index
@@ -212,8 +216,10 @@ def is_necklace(graph: DecoratedGraph) -> bool:
 
 
 def _rank(items):
+    """Dense ranks of ``items`` in sorted order, and how many distinct
+    items there are."""
     order = {key: i for i, key in enumerate(sorted(set(items)))}
-    return [order[x] for x in items]
+    return list(map(order.__getitem__, items)), len(order)
 
 
 def canonical_form(graph: DecoratedGraph):
@@ -234,96 +240,140 @@ def _canonical_search(graph: DecoratedGraph):
     encoding differ by exactly one automorphism: the optimal orders are one
     orbit, so ``first[i] -> order[i]`` over the optimal orders lists the
     automorphism group, each element once.
+
+    Refinement stops when a round leaves the class counts unchanged, or as
+    soon as every half-edge and every vertex is its own class.  A round's
+    signatures sort by the old rank first, so a round only splits classes
+    and keeps their order.  On a discrete coloring it can split nothing
+    and gives back the same ranks, so skipping that round changes no rank.
+
+    A candidate lists the vertices by color and each vertex's half-edges
+    by search key.  Only vertex color classes and key ties of two or more
+    are permuted, so a graph whose coloring ends discrete has a single
+    candidate.  Every candidate describes its vertices alike, so the
+    involution is compared first, and the rest of the encoding is built
+    only for a candidate that ties or wins.
     """
     vertex_of = graph.vertex_of
     inv = graph.inv
     dec_block = graph.dec_block
     leg_label = graph.leg_label
     mark = graph.mark
+    genus = graph.genus
+    dec_index = graph.dec_index
     H = len(vertex_of)
-    V = len(graph.genus)
+    V = len(genus)
     vhe = graph.vertex_half_edges()
-    valence = [len(hs) for hs in vhe]
+    partner_vertex = [vertex_of[p] for p in inv]
+    is_leg = [inv[h] == h for h in range(H)]
 
-    hcol = _rank([(dec_block[h], leg_label[h], mark[h]) for h in range(H)])
-    vcol = _rank(
+    hcol, nh = _rank(list(zip(dec_block, leg_label, mark)))
+    # a vertex's half-edges are as many as its valence, so flat signatures
+    # order like (genus, valence, summand, sorted leg labels)
+    vcol, nv = _rank(
         [
-            (
-                graph.genus[v],
-                valence[v],
-                graph.dec_index[v],
-                tuple(sorted(leg_label[h] for h in vhe[v])),
-            )
-            for v in range(V)
+            (genus[v], len(hs), dec_index[v], *sorted([leg_label[h] for h in hs]))
+            for v, hs in enumerate(vhe)
         ]
     )
-    while True:
-        nh, nv = len(set(hcol)), len(set(vcol))
-        hsig = []
-        for h in range(H):
-            partner = inv[h]
-            if partner == h:
-                hsig.append((hcol[h], vcol[vertex_of[h]], -1, -1))
-            else:
-                hsig.append((hcol[h], vcol[vertex_of[h]], hcol[partner], vcol[vertex_of[partner]]))
-        hcol = _rank(hsig)
-        vcol = _rank([(vcol[v], tuple(sorted(hcol[h] for h in vhe[v]))) for v in range(V)])
-        if len(set(hcol)) == nh and len(set(vcol)) == nv:
+    while nh < H or nv < V:
+        hcol, nh_next = _rank(
+            [
+                (hcol[h], vcol[vertex_of[h]], -1, -1)
+                if is_leg[h]
+                else (hcol[h], vcol[vertex_of[h]], hcol[inv[h]], vcol[partner_vertex[h]])
+                for h in range(H)
+            ]
+        )
+        vcol, nv_next = _rank([(vcol[v], *sorted([hcol[h] for h in hs])) for v, hs in enumerate(vhe)])
+        if nh_next == nh and nv_next == nv:
             break
-
-    by_color: dict[int, list[int]] = {}
-    for v in range(V):
-        by_color.setdefault(vcol[v], []).append(v)
-    class_list = [tuple(by_color[c]) for c in sorted(by_color)]
+        nh, nv = nh_next, nv_next
 
     # a vertex's color refines its (genus, valence, summand), so every
     # candidate vertex order describes the vertices alike
-    vdesc = tuple(
-        (graph.genus[v], valence[v], graph.dec_index[v]) for cls in class_list for v in cls
-    )
-    best = None
+    vbase = sorted(range(V), key=vcol.__getitem__)
+    vdesc = tuple([(genus[v], len(vhe[v]), dec_index[v]) for v in vbase])
+    vclasses = _runs([vcol[v] for v in vbase]) if nv < V else ()
+
+    # A half-edge's search key is (block, is internal, leg label, position
+    # of the partner's vertex or -1, color, mark).  The color orders like
+    # (block, leg label, mark) and refines it, so the key orders like
+    # (block, is internal, partner position + 1 or 0, color), packed here
+    # into one integer after the position of the half-edge's own vertex.
+    low = min(dec_block, default=0)
+    span = (max(dec_block, default=0) - low + 1) * 2 * (V + 1) * H
+    base = [
+        (dec_block[h] - low) * 2 * (V + 1) * H + hcol[h]
+        if is_leg[h]
+        else (((dec_block[h] - low) * 2 + 1) * (V + 1) + 1) * H + hcol[h]
+        for h in range(H)
+    ]
+    step = [0 if is_leg[h] else H for h in range(H)]
+
+    best = best_inv = None
     orders = []
     vpos = [0] * V
-    for class_perms in product(*(permutations(cls) for cls in class_list)):
-        vorder = [v for cls in class_perms for v in cls]
+    hpos = [0] * H
+    for vorder in _arrangements(vbase, vclasses):
         for i, v in enumerate(vorder):
             vpos[v] = i
-        per_vertex = []
-        for v in vorder:
-            groups: dict[tuple, list[int]] = {}
-            for h in vhe[v]:
-                partner = inv[h]
-                if partner == h:
-                    key = (dec_block[h], 0, leg_label[h], -1, hcol[h], mark[h])
-                else:
-                    key = (dec_block[h], 1, -1, vpos[vertex_of[partner]], hcol[h], mark[h])
-                groups.setdefault(key, []).append(h)
-            ordered = [tuple(groups[k]) for k in sorted(groups)]
-            options = [
-                tuple(h for grp in combo for h in grp)
-                for combo in product(*(permutations(grp) for grp in ordered))
-            ]
-            per_vertex.append(options)
-        hpos = [0] * H
-        for combo in product(*per_vertex):
-            horder = [h for arr in combo for h in arr]
+        key = [
+            vpos[vertex_of[h]] * span + base[h] + vpos[partner_vertex[h]] * step[h]
+            for h in range(H)
+        ]
+        hbase = sorted(range(H), key=key.__getitem__)
+        # equal keys mean equal colors, so a discrete coloring has no ties
+        ties = _runs([key[h] for h in hbase]) if nh < H else ()
+        for horder in _arrangements(hbase, ties):
             for i, h in enumerate(horder):
                 hpos[h] = i
+            enc_inv = tuple([hpos[inv[h]] for h in horder])
+            if best_inv is not None and enc_inv > best_inv:
+                continue
             enc = (
                 vdesc,
-                tuple(hpos[inv[h]] for h in horder),
-                tuple(leg_label[h] for h in horder),
-                tuple(dec_block[h] for h in horder),
-                tuple(mark[h] for h in horder),
+                enc_inv,
+                tuple([leg_label[h] for h in horder]),
+                tuple([dec_block[h] for h in horder]),
+                tuple([mark[h] for h in horder]),
             )
-            if best is not None and enc > best:
-                continue
-            if enc == best:
-                orders.append(horder)
-            else:
-                best = enc
-                orders = [horder]
+            if enc_inv == best_inv:
+                if enc > best:
+                    continue
+                if enc == best:
+                    orders.append(horder)
+                    continue
+            best, best_inv = enc, enc_inv
+            orders = [horder]
     return best, orders
+
+
+def _runs(values):
+    """The (start, stop) slices of the runs of two or more equal adjacent
+    values."""
+    out = []
+    start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] != values[start]:
+            if i - start > 1:
+                out.append((start, i))
+            start = i
+    return out
+
+
+def _arrangements(items, slices):
+    """Every reordering of the list ``items`` that permutes each of the
+    disjoint ``slices`` within itself, in the order of ``product`` over
+    their ``permutations``; without slices, ``items`` itself."""
+    if not slices:
+        yield items
+        return
+    for combo in product(*(permutations(items[a:b]) for a, b in slices)):
+        out = list(items)
+        for (a, b), perm in zip(slices, combo):
+            out[a:b] = perm
+        yield out
 
 
 def relabel_legs(graph: DecoratedGraph, mapping: dict) -> DecoratedGraph:
@@ -491,11 +541,22 @@ def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, budget: Budget, l
     only rotations survive as isomorphisms.  Labeled necklaces carry the
     legs 1..n; unlabeled ones give every leg the label 1, so each layout
     yields one graph per decoration.
+
+    Unlabeled necklaces are laid out up to symmetry of the cycle: only a
+    composition that is the least of its rotations (oriented), or of its
+    rotations and reversals (unordered), is laid out.  A rotation is an
+    isomorphism of layouts, and so is a reversal once ports 0 and 1 swap
+    at every vertex, which maps the decorations of a vertex onto
+    themselves.  The least composition comes first in the enumeration, so
+    every class still meets the same first graph.  The labeled layouts
+    keep every rotation, which the pinning of label 1 relies on.
     """
     by_legcount = {m - 2: lams for m, lams in spec.genus0.items() if lams}
     allowed = tuple(sorted(lc for lc in by_legcount if lc >= 1))
     for k in range(1, n + 1):
         for comp in _compositions(n, k, allowed):
+            if not labeled and not _least_up_to_symmetry(comp, oriented):
+                continue
             valences = [lc + 2 for lc in comp]
             offsets, vertex_of = _layout(valences, budget)
             mark = None
@@ -517,6 +578,13 @@ def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, budget: Budget, l
             yield from _layout_graphs(
                 vertex_of, (0,) * k, decorations, leg_starts, assigns, (cycle,), mark
             )
+
+
+def _least_up_to_symmetry(comp, oriented: bool) -> bool:
+    """Whether the cyclic sequence ``comp`` is the least of its rotations,
+    and unless ``oriented`` also of the rotations of its reversal."""
+    shapes = (comp,) if oriented else (comp, comp[::-1])
+    return all(comp <= s[i:] + s[:i] for s in shapes for i in range(len(s)))
 
 
 def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):

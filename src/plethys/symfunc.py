@@ -38,7 +38,8 @@ def partition_sort_key(lam: Partition):
 def _validate_partition(lam) -> Partition:
     lam = tuple(lam)
     for i, part in enumerate(lam):
-        if not isinstance(part, int) or part < 1:
+        # bool is an int subclass, but JSON true is not a part
+        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
             raise ValueError(f"partition parts must be positive integers, got {lam!r}")
         if i and lam[i - 1] < part:
             raise ValueError(f"partition parts must be weakly decreasing, got {lam!r}")

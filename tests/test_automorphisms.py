@@ -53,6 +53,19 @@ def test_aut_char_equals_burnside_char(spec, top, family):
         assert labeled_count == len(labeled)
 
 
+@pytest.mark.parametrize("family", NECKLACE_FAMILIES)
+def test_unlabeled_classes_are_the_labeled_ones_with_legs_forgotten(family):
+    # the unlabeled layouts stop at one composition per rotation (and
+    # reversal) class; every labeled class must still show up among them
+    oriented = family == "oriented-necklace"
+    for n in range(1, 7):
+        budget = _budget(n)
+        forget = dict.fromkeys(range(1, n + 1), 1)
+        labeled = enumerate_decorated(STD, family, n, budget)
+        forgotten = {canonical_form(go.relabel_legs(g, forget)) for g in labeled.values()}
+        assert set(go._unlabeled_necklace_classes(STD, n, oriented, budget)) == forgotten
+
+
 @pytest.mark.parametrize("suite", ["cyclic", "necklaces"])
 def test_necklace_suites_reach_degree_7(suite):
     assert run_suite(suite, max_degree=7).passed
@@ -143,10 +156,11 @@ def _matcher(G1, G2):
     )
 
 
-def test_canonical_search_against_networkx():
-    nx = pytest.importorskip("networkx")
+def random_pairs():
+    """The 100 seeded (graph, other) pairs of the networkx test: other is
+    a shuffled copy, a shuffled copy with one mark redrawn, or a fresh
+    random graph."""
     rng = random.Random(4099)
-    isomorphic_pairs = symmetric = 0
     for trial in range(100):
         same_labels = trial % 2 == 0
         g = _random_graph(rng, same_labels)
@@ -164,6 +178,13 @@ def test_canonical_search_against_networkx():
             other = _shuffled(rng, g2)
         else:
             other = _random_graph(rng, same_labels)
+        yield g, other
+
+
+def test_canonical_search_against_networkx():
+    nx = pytest.importorskip("networkx")
+    isomorphic_pairs = symmetric = 0
+    for g, other in random_pairs():
         G, G_other = _to_networkx(nx, g), _to_networkx(nx, other)
         same = _matcher(G, G_other).is_isomorphic()
         isomorphic_pairs += same

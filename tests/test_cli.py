@@ -189,6 +189,12 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
         code, _, err = run(capsys, argv + ["--spec", str(tmp_path)])
         assert code == 2
         assert err.startswith("error: ")
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text('{"genus0": {"3": [[true, 1, 1]]}}')
+    code, out, err = run(capsys, ["expand", "b1", "--spec", str(boolean)])
+    assert code == 2
+    assert out == ""
+    assert "malformed" in err
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     code, _, err = run(capsys, ["expand", "b1", "--spec", str(binary)])

@@ -3,7 +3,11 @@
 ``SymFunc`` and ``WreathSymFunc`` share one core, so every law is checked
 on each of them with random values: ring laws with ``zero`` and ``one`` as
 identities, powers, the geometric and log series, the JSON round trip, and
-that values of the two algebras never mix.
+that values of the two algebras never mix.  The operations beyond the ring
+have their laws too: plethysm is a ring homomorphism in its left argument,
+``partial_p`` obeys the Leibniz rule and ``specialize_s2`` is
+multiplicative.  Plethysm associativity and the composition of Adams
+operations are acceptance criteria 8a and 8b in ``test_acceptance.py``.
 """
 
 import json
@@ -12,8 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plethys.symfunc import SymFunc, geom, log_inv, partitions_of
-from plethys.wreath import E_CLASS, T_CLASS, WreathSymFunc
+from plethys.symfunc import SymFunc, geom, log_inv, partial_p, partitions_of, plethysm
+from plethys.wreath import E_CLASS, T_CLASS, WreathSymFunc, specialize_s2
 
 ALGEBRAS = (SymFunc, WreathSymFunc)
 
@@ -41,6 +45,11 @@ def values(draw, cls, count, min_degree=0):
     N = draw(st.integers(1, 5))
     terms = st.dictionaries(keys(cls, N, min_degree), coefficients, max_size=4)
     return [cls(N, draw(terms)) for _ in range(count)]
+
+
+def value_at(data, cls, N, min_degree=0):
+    """One more value of cls at truncation N."""
+    return cls(N, data.draw(st.dictionaries(keys(cls, N, min_degree), coefficients, max_size=4)))
 
 
 def exp_series(f):
@@ -116,7 +125,7 @@ def test_algebras_never_mix(data):
     (w,) = data.draw(values(WreathSymFunc, 1))
     N = w.truncation
     # same truncation, so only the type can be what refuses the mix
-    s = SymFunc(N, data.draw(st.dictionaries(keys(SymFunc, N, 0), coefficients, max_size=4)))
+    s = value_at(data, SymFunc, N)
     for op in (lambda x, y: x + y, lambda x, y: x * y):
         with pytest.raises(TypeError):
             op(s, w)
@@ -126,3 +135,43 @@ def test_algebras_never_mix(data):
     assert (w == s) is False
     assert s != w
     assert SymFunc.one(N) != WreathSymFunc.one(N)
+
+
+# -- plethysm, derivatives and the s2 specialization ------------------------
+
+
+@LAWS
+@given(data=st.data())
+def test_plethysm_is_a_ring_homomorphism_in_f(data):
+    f1, f2 = data.draw(values(SymFunc, 2))
+    N = f1.truncation
+    g = value_at(data, SymFunc, N, min_degree=1)
+    assert plethysm(f1 + f2, g) == plethysm(f1, g) + plethysm(f2, g)
+    assert plethysm(f1 * f2, g) == plethysm(f1, g) * plethysm(f2, g)
+    assert plethysm(SymFunc.one(N), g) == SymFunc.one(N)
+
+
+@LAWS
+@given(data=st.data())
+def test_partial_p_leibniz_rule(data):
+    a, b = data.draw(values(SymFunc, 2))
+    N = a.truncation
+    k = data.draw(st.integers(1, N))
+    # the truncated product has lost the degrees above N, so the rule holds
+    # up to degree N - k
+    lhs = partial_p(k, a * b)
+    rhs = partial_p(k, a) * b + a * partial_p(k, b)
+    assert lhs.truncated(N - k) == rhs.truncated(N - k)
+
+
+@LAWS
+@given(data=st.data())
+def test_specialize_s2_is_multiplicative(data):
+    N = data.draw(st.integers(3, 5))
+    w1 = value_at(data, WreathSymFunc, N)
+    w2 = value_at(data, WreathSymFunc, N)
+    # f from degree 3 up sends a wreath monomial of degree d to terms of
+    # degree >= d, so the truncation of w1 * w2 loses nothing it would keep
+    f = value_at(data, SymFunc, N, min_degree=3)
+    assert specialize_s2(w1 * w2, f) == specialize_s2(w1, f) * specialize_s2(w2, f)
+    assert specialize_s2(WreathSymFunc.one(N), f) == SymFunc.one(N)

@@ -42,6 +42,9 @@ def test_module_spec_json_roundtrip():
         ModuleSpec.from_json_obj({"genus0": {"x": [[3]]}})
     with pytest.raises(ModuleSpecError):
         ModuleSpec.from_json_obj({"bogus": {}})
+    # JSON true is a bool, which Python counts as the int 1
+    with pytest.raises(ModuleSpecError, match="positive integers"):
+        ModuleSpec.from_json_obj({"genus0": {"3": [[True, 1, 1]]}})
 
 
 def test_standard_spec_contents():
