@@ -30,6 +30,7 @@ from .series import (
     cyclic_necklace_series,
     necklace_series,
     tree_fixed_point,
+    working_truncation,
 )
 from .wreath import dih_series_closed
 
@@ -100,10 +101,7 @@ def cmd_expand(args) -> int:
         _emit_series(dih_series_closed(N), args)
         return EXIT_OK
     spec = _load_spec(args.spec)
-    # high-arity summands feed low degrees through derivatives, so the
-    # assembly runs at a truncation covering the whole module and only the
-    # printed series is cut to the requested degree (matching b1_series)
-    working = max(N, spec.max_arity())
+    working = working_truncation(spec, N)
     a0 = a_series(spec, 0, working)
     if target == "cyclic-necklaces":
         _emit_series(cyclic_necklace_series(a0).truncated(N), args)

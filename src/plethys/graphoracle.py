@@ -20,6 +20,20 @@ Piperno, arXiv:1301.1493).  The optimal labelings of the search differ
 exactly by automorphisms, so the same search also yields each class's
 automorphism group.
 
+The genus-one and rooted-tree censuses lay out vertices as sorted
+(genus, valence) shapes, split each vertex's ports into internal ports
+and legs, and then enumerate leg assignments, connected perfect matchings
+of the internal ports and decorations.  Two consecutive vertices with the
+same genus, valence and internal-port count that carry legs are twins,
+and only the leg assignments whose label sets increase along every twin
+pair are generated.  Swapping two twins with their ports maps the triples
+enumerated for the split onto themselves and each graph to an isomorphic
+one, and twins carry disjoint non-empty label sets, so every orbit of
+these swaps keeps exactly its sorted assignment and every class is still
+reached (symmetry breaking in the generator, McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  Canonical deduplication
+removes the duplicates that remain.
+
 Necklace characters are computed from leg-unlabeled classes (every leg
 carries one common label): each class U contributes the cycle index
 (1/|Aut U|) sum_{a in Aut U} p_{type(a on legs)}.  Genus-one and
@@ -674,6 +688,17 @@ def _matching_census(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget
 
 
 def _fill_shape(spec, shape, E, leg_labels, census, budget):
+    """Insert every connected graph on the vertex layout ``shape`` with E
+    edges, by internal-port split, leg assignment, matching and decoration.
+
+    Two consecutive vertices are twins when they share genus, valence and
+    internal-port count and carry at least one leg; only leg assignments
+    whose label sets increase along every twin pair are laid out.
+    Swapping two twins together with their ports maps every (assignment,
+    connected matching, decoration) triple to another one whose graph is
+    isomorphic, and twins carry disjoint non-empty label sets, so each
+    orbit under these swaps keeps exactly its one sorted assignment.
+    """
     V = len(shape)
     genus = tuple(g for g, _ in shape)
     valences = [m for _, m in shape]
@@ -695,7 +720,16 @@ def _fill_shape(spec, shape, E, leg_labels, census, budget):
             continue
         leg_counts = tuple(m - i for m, i in zip(valences, int_counts))
         leg_starts = [base + i for base, i in zip(offsets, int_counts)]
-        assigns = _ordered_set_partitions(leg_labels, leg_counts)
+        twins = [
+            v
+            for v in range(V - 1)
+            if leg_counts[v] and shape[v] == shape[v + 1] and int_counts[v] == int_counts[v + 1]
+        ]
+        assigns = (
+            a
+            for a in _ordered_set_partitions(leg_labels, leg_counts)
+            if all(a[v] < a[v + 1] for v in twins)
+        )
         for graph in _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, connected):
             _insert(census, canonical_form(graph), graph, budget)
 

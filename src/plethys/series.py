@@ -245,16 +245,25 @@ def tree_fixed_point(a0: SymFunc) -> SymFunc:
     raise ArithmeticError("tree fixed point did not stabilize; valuation bug")
 
 
+def working_truncation(spec: ModuleSpec, degree: int) -> int:
+    """The truncation at which to assemble series wanted through ``degree``.
+
+    A summand of arity m reaches degrees down to m - 2 through the
+    derivatives in the necklace terms, and none below, so the summands of
+    arity above degree + 2 can be dropped and those up to it must be kept.
+    """
+    return max(degree, min(spec.max_arity(), degree + 2))
+
+
 def b1_series(spec: ModuleSpec, truncation: int) -> SymFunc:
     """The full genus-one series: genus-one corollas plus necklaces, glued
     along rooted genus-0 trees by plethysm.
 
-    High-arity summands of the module feed low output degrees through the
-    derivatives in the necklace terms, so the assembly runs at a working
-    truncation covering every listed arity and only the result is cut back
-    to the requested degree.
+    The assembly runs at the working truncation, which keeps the summands
+    that reach low degrees through derivatives, and only the result is cut
+    back to the requested degree.
     """
-    working = max(truncation, spec.max_arity())
+    working = working_truncation(spec, truncation)
     a0 = a_series(spec, 0, working)
     a1 = a_series(spec, 1, working)
     full = plethysm(a1 + necklace_series(a0), tree_fixed_point(a0))

@@ -23,6 +23,7 @@ from .series import (
     cyclic_necklace_series,
     necklace_series,
     second_leg_series,
+    working_truncation,
 )
 from .symfunc import SymFunc, h_gen, h_lambda, plethysm
 from .wreath import dih_char_closed, dih_series_closed, plethysm_deg1
@@ -135,7 +136,7 @@ def run_deg1(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
 
 def run_cyclic(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """Cyclically-oriented necklace series against the oriented census."""
-    working = max(max_degree, spec.max_arity())
+    working = working_truncation(spec, max_degree)
     a0 = a_series(spec, 0, working)
     formula = cyclic_necklace_series(a0)
     detail = _diff_detail(
@@ -149,7 +150,7 @@ def run_cyclic(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult
 def run_necklaces(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     """Unordered necklace series (both computation paths) against the
     unordered census."""
-    working = max(max_degree, spec.max_arity())
+    working = working_truncation(spec, max_degree)
     a0 = a_series(spec, 0, working)
     direct = necklace_series(a0, method="direct")
     wreath_path = necklace_series(a0, method="wreath")
@@ -176,7 +177,7 @@ def run_negative_dih(spec: ModuleSpec, max_degree: int, budget: Budget) -> Suite
     the symmetric groups and substituting the doubly-marked genus-0 series
     must NOT reproduce the necklace census; the suite passes when a
     difference is found."""
-    working = max(max_degree, spec.max_arity())
+    working = working_truncation(spec, max_degree)
     a0 = a_series(spec, 0, working)
     core = second_leg_series(a0)
     naive = SymFunc.zero(working)

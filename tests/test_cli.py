@@ -58,6 +58,32 @@ def test_expand_b1_low_truncation_keeps_derivative_terms(capsys, tiny_spec):
     assert obj["terms"] == [{"partition": [1], "num": "1", "den": "1"}]
 
 
+def test_high_arity_summands_cap_the_working_truncation(capsys, monkeypatch, tmp_path):
+    # an arity-m summand reaches no degree below m - 2, so a genus-0
+    # arity-16 summand must not lift the assembly at degree 3 past 5
+    from plethys import cli, series
+
+    obj = series.ModuleSpec.standard().to_json_obj()
+    obj["genus0"]["16"] = [[16]]
+    path = tmp_path / "arity16.json"
+    path.write_text(json.dumps(obj))
+    truncations = []
+    a_series = series.a_series
+
+    def recording(spec, genus, truncation):
+        truncations.append(truncation)
+        assert truncation <= 5
+        return a_series(spec, genus, truncation)
+
+    for module in (series, cli, verify):
+        monkeypatch.setattr(module, "a_series", recording)
+    for target in ("b1", "necklaces", "cyclic-necklaces", "tree"):
+        assert run(capsys, ["expand", target, "--max-degree", "3", "--spec", str(path)])[0] == 0
+    for suite in ("cyclic", "necklaces", "theorem", "negative-dih"):
+        assert run(capsys, ["verify", suite, "--max-degree", "3", "--spec", str(path)])[0] == 0
+    assert set(truncations) == {5}
+
+
 def test_expand_tree_text(capsys, tiny_spec):
     code, out, _ = run(
         capsys,

@@ -40,7 +40,9 @@ ENUMERATE_GOLDEN = {
     ("necklace", 4): "fdd425f6d03c78314f108d07bb2d956b5222384bfd27aaa2eadf9386cd2e7566",
     ("oriented-necklace", 4): "3a8031c5ca5e33fabd1f0f9fb0487d147b4e9271ef448b2bf8b37b886c83dbac",
     ("genus1-stable", 3): "c41f1f9dd1c1d2475db6c2b03faf423c1fa3a6dfd79ada759a930f35eb741cff",
+    ("genus1-stable", 4): "8f45376441833905254222a0cd410f7ad09e72374d61cc930f67533b6b026ab6",
     ("rooted-tree", 4): "3d27551ca68e77e716990d9145549396455a5ccf45c15b2902c5c19ec54c3cd5",
+    ("rooted-tree", 5): "a6f270208be4514b65c5bf945c8bd953cc25ab64ff1871f6fa46392c51f7e82c",
 }
 
 
