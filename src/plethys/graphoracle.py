@@ -446,20 +446,30 @@ def _ordered_set_partitions(items, sizes):
             yield (blk,) + tail
 
 
-def _compositions(total, k, allowed):
-    if k == 0:
-        if total == 0:
-            yield ()
+def _sums(choices, total):
+    """Every tuple t with t[i] drawn from the ascending sequence
+    ``choices[i]`` and sum(t) == total, in lexicographic order.  A prefix
+    is cut as soon as the rest of the total leaves the range between the
+    least and the greatest sum of the remaining choices."""
+    if not all(choices):
         return
-    if not allowed:
-        return
-    lo, hi = allowed[0], allowed[-1]
-    for first in allowed:
-        rem = total - first
-        if rem < (k - 1) * lo or rem > (k - 1) * hi:
-            continue
-        for rest in _compositions(rem, k - 1, allowed):
-            yield (first,) + rest
+    k = len(choices)
+    least = [sum(c[0] for c in choices[i:]) for i in range(k + 1)]
+    greatest = [sum(c[-1] for c in choices[i:]) for i in range(k + 1)]
+
+    def rec(i, rest):
+        if i == k:
+            if rest == 0:
+                yield ()
+            return
+        for x in choices[i]:
+            if rest - x < least[i + 1]:
+                break
+            if rest - x <= greatest[i + 1]:
+                for tail in rec(i + 1, rest - x):
+                    yield (x,) + tail
+
+    yield from rec(0, total)
 
 
 def _perfect_matchings(ports):
@@ -568,7 +578,7 @@ def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, budget: Budget, l
     by_legcount = {m - 2: lams for m, lams in spec.genus0.items() if lams}
     allowed = tuple(sorted(lc for lc in by_legcount if lc >= 1))
     for k in range(1, n + 1):
-        for comp in _compositions(n, k, allowed):
+        for comp in _sums((allowed,) * k, n):
             if not labeled and not _least_up_to_symmetry(comp, oriented):
                 continue
             valences = [lc + 2 for lc in comp]
@@ -608,50 +618,17 @@ def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
     return dict(sorted(census.items()))
 
 
-def _multisets(values, count, total):
-    if count == 0:
-        if total == 0:
-            yield ()
-        return
-    for i, v in enumerate(values):
-        if v > total:
-            break
-        for rest in _multisets(values[i:], count - 1, total - v):
-            yield (v,) + rest
-
-
 def _vertex_shapes(prof0, prof1, V, total, uses_g1):
-    if uses_g1:
-        for m1 in prof1:
-            for ms in _multisets(prof0, V - 1, total - m1):
-                yield ((1, m1),) + tuple((0, m) for m in ms)
-    else:
-        for ms in _multisets(prof0, V, total):
-            yield tuple((0, m) for m in ms)
-
-
-def _int_splits(valences, total, lo):
-    """Per-vertex internal-port counts between lo and the valence, summing
-    to ``total``."""
-    k = len(valences)
-    suffix = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + valences[i]
-
-    def rec(idx, remaining):
-        if idx == k:
-            if remaining == 0:
-                yield ()
-            return
-        rest = k - idx - 1
-        hi = min(valences[idx], remaining - lo * rest)
-        for i in range(lo, hi + 1):
-            if remaining - i > suffix[idx + 1]:
-                continue
-            for tail in rec(idx + 1, remaining - i):
-                yield (i,) + tail
-
-    yield from rec(0, total)
+    """The (genus, valence) layouts of V vertices with valences summing to
+    ``total``: the genus-1 vertex first when ``uses_g1``, then genus-0
+    valences in non-decreasing order."""
+    head = (prof1,) if uses_g1 else ()
+    g = len(head)
+    genus = (1,) * g + (0,) * (V - g)
+    for valences in _sums(head + (prof0,) * (V - g), total):
+        rest = valences[g:]
+        if all(a <= b for a, b in zip(rest, rest[1:])):
+            yield tuple(zip(genus, valences))
 
 
 def _matching_census(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget: Budget):
@@ -707,7 +684,7 @@ def _fill_shape(spec, shape, E, leg_labels, census, budget):
         [spec.genus0[m] if g == 0 else spec.genus1[m] for g, m in shape], offsets, valences
     )
     min_internal = 1 if V > 1 else 0
-    for int_counts in _int_splits(valences, 2 * E, min_internal):
+    for int_counts in _sums([range(min_internal, m + 1) for m in valences], 2 * E):
         internal_ports = tuple(
             h for v in range(V) for h in range(offsets[v], offsets[v] + int_counts[v])
         )
@@ -790,32 +767,39 @@ def _vertex_profile(graph: DecoratedGraph, mapping=None):
     return tuple(prof)
 
 
+def _burnside_char(n: int, truncation: int, points: int, fixed) -> SymFunc:
+    """Character of a set of ``points`` permuted by the permutations of
+    1..n: the Burnside average (1/n!) sum_pi Fix(pi) p_{type(pi)},
+    evaluated once per cycle type lam with the conjugacy-class weight
+    1/z_lam.  ``fixed(mapping)`` counts the points that the permutation
+    ``mapping`` of a non-identity type fixes; the identity fixes them all."""
+    terms = {}
+    for lam in partitions_of(n):
+        fix = points if lam == (1,) * n else fixed(_perm_of_type(lam, n))
+        if fix:
+            terms[lam] = Fraction(fix, z_of(lam))
+    return SymFunc(truncation, terms)
+
+
 def char_of_census(census, n: int, truncation: int) -> SymFunc:
     """Character of the census as a module over permutations of the legs
-    1..n: the Burnside average (1/n!) sum_pi Fix(pi) p_{type(pi)},
-    evaluated once per cycle type with the conjugacy-class weight."""
+    1..n, its classes being the points (``_burnside_char``)."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("censuses carry legs 1..n with n >= 1")
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
     entries = [(canon, graph, _vertex_profile(graph)) for canon, graph in census.items()]
-    terms = {}
-    for lam in partitions_of(n):
-        if lam == (1,) * n:
-            fix = len(census)
-        else:
-            mapping = _perm_of_type(lam, n)
-            fix = 0
-            for canon, graph, profile in entries:
-                # relabeling can fix the class only if it stabilizes the
-                # vertex profile; the cheap test prunes most classes
-                if _vertex_profile(graph, mapping) != profile:
-                    continue
-                if canonical_form(relabel_legs(graph, mapping)) == canon:
-                    fix += 1
-        if fix:
-            terms[lam] = Fraction(fix, z_of(lam))
-    return SymFunc(truncation, terms)
+
+    def fixed(mapping):
+        # relabeling can fix a class only if it stabilizes the vertex
+        # profile; the cheap test prunes most classes
+        return sum(
+            _vertex_profile(graph, mapping) == profile
+            and canonical_form(relabel_legs(graph, mapping)) == canon
+            for canon, graph, profile in entries
+        )
+
+    return _burnside_char(n, truncation, len(census), fixed)
 
 
 def _unlabeled_necklace_classes(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
@@ -923,18 +907,11 @@ def hom_char(action: str, glam, truncation: int) -> SymFunc:
         return min(el, (act[a], apply_letters(b, swap)))
 
     orbits = sorted({orbit_key((a, b)) for a in points for b in bases})
-    if n == 0:
-        return SymFunc(truncation, {(): Fraction(len(orbits))})
-    terms = {}
-    for lam in partitions_of(n):
-        mapping = _perm_of_type(lam, n)
-        fix = 0
-        for a, b in orbits:
-            if orbit_key((a, apply_letters(b, mapping))) == (a, b):
-                fix += 1
-        if fix:
-            terms[lam] = Fraction(fix, z_of(lam))
-    return SymFunc(truncation, terms)
+
+    def fixed(mapping):
+        return sum(orbit_key((a, apply_letters(b, mapping))) == (a, b) for a, b in orbits)
+
+    return _burnside_char(n, truncation, len(orbits), fixed)
 
 
 # -- census export --------------------------------------------------------

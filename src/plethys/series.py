@@ -117,10 +117,13 @@ class ModuleSpec:
                 raise ModuleSpecError(f"{section} must be an object")
             out = {}
             for key, lams in data.items():
-                try:
-                    n = int(key)
-                except (TypeError, ValueError):
-                    raise ModuleSpecError(f"{section} key {key!r} is not an integer")
+                # int() alone would also read "1_0" as 10 and take " 3",
+                # "+3" and non-ASCII digits
+                if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                    raise ModuleSpecError(f"{section} key {key!r} is not a decimal arity")
+                n = int(key)
+                if n in out:
+                    raise ModuleSpecError(f"{section} key {key!r} repeats arity {n}")
                 if not isinstance(lams, list) or not all(isinstance(lam, list) for lam in lams):
                     raise ModuleSpecError(f"{section}[{key}] must be a list of partitions")
                 out[n] = [tuple(lam) for lam in lams]
@@ -156,16 +159,23 @@ def ass_series(truncation: int, method: str = "closed") -> SymFunc:
     """
     N = truncation
     if method == "closed":
-        out = SymFunc.zero(N)
-        for n in range(1, N + 1):
-            out = out + log_inv(SymFunc.p(n, N)) * Fraction(euler_phi(n), n)
-        return out
+        return _cyclic_sum(SymFunc.p(1, N))
     if method == "burnside":
         out = SymFunc.zero(N)
         for n in range(1, N + 1):
             out = out + ind_trivial_char(cyclic_subgroup(n), N)
         return out
     raise ValueError(f"unknown method {method!r}")
+
+
+def _cyclic_sum(g: SymFunc) -> SymFunc:
+    """The cycle index of cyclically ordered arrangements of g-structures:
+    sum_n (phi(n)/n) * (-log(1 - adams(n, g))), truncated."""
+    N = g.truncation
+    out = SymFunc.zero(N)
+    for n in range(1, N + 1):
+        out = out + log_inv(adams(n, g)) * Fraction(euler_phi(n), n)
+    return out
 
 
 def _check_core_series(a0: SymFunc) -> None:
@@ -184,12 +194,7 @@ def cyclic_necklace_series(a0: SymFunc) -> SymFunc:
     """Sum over cyclically oriented necklaces of genus-0 vertices:
     sum_n (phi(n)/n) * (-log(1 - adams(n, a0''))), truncated."""
     _check_core_series(a0)
-    N = a0.truncation
-    core = second_leg_series(a0)
-    out = SymFunc.zero(N)
-    for n in range(1, N + 1):
-        out = out + log_inv(adams(n, core)) * Fraction(euler_phi(n), n)
-    return out
+    return _cyclic_sum(second_leg_series(a0))
 
 
 def necklace_series_direct(a0: SymFunc) -> SymFunc:
@@ -205,13 +210,11 @@ def necklace_series_direct(a0: SymFunc) -> SymFunc:
     _check_core_series(a0)
     N = a0.truncation
     core = second_leg_series(a0)
-    out = SymFunc.zero(N)
-    for n in range(1, N + 1):
-        out = out + log_inv(adams(n, core)) * Fraction(euler_phi(n), 2 * n)
+    rotations = _cyclic_sum(core) * Fraction(1, 2)
     adot = partial_p(2, a0)
     psi2 = adams(2, core)
     refl = adot * (SymFunc.one(N) + adot) + psi2 * Fraction(1, 4)
-    return out + refl * geom(psi2)
+    return rotations + refl * geom(psi2)
 
 
 def necklace_series(a0: SymFunc, method: str = "direct") -> SymFunc:

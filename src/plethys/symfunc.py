@@ -498,20 +498,29 @@ def d_operator(f: SymFunc, g: SymFunc) -> SymFunc:
     return out
 
 
+def _powers(f):
+    """f, f^2, ..., f^K for the largest K with K * valuation(f) <= the
+    truncation, nothing for f = 0; f must have no constant term, so that
+    the series summed over these powers converge."""
+    if f.coefficient(()):
+        raise ValueError("a power series in f requires f to have no constant term")
+    val = f.valuation()
+    if val is None:
+        return
+    power = f
+    yield power
+    for _ in range(1, f.truncation // val):
+        power = power * f
+        yield power
+
+
 def log_inv(f):
     """-log(1 - f) = sum_{k>=1} f^k / k, truncated; f must have valuation >= 1.
 
     f may be a ``SymFunc`` or a ``WreathSymFunc``; the result has its type.
     """
-    if f.coefficient(()):
-        raise ValueError("log series requires no constant term")
-    val = f.valuation()
-    if val is None:
-        return type(f).zero(f.truncation)
-    out = f
-    power = f
-    for k in range(2, f.truncation // val + 1):
-        power = power * f
+    out = type(f).zero(f.truncation)
+    for k, power in enumerate(_powers(f), start=1):
         out = out + power * Fraction(1, k)
     return out
 
@@ -521,14 +530,7 @@ def geom(f):
 
     f may be a ``SymFunc`` or a ``WreathSymFunc``; the result has its type.
     """
-    if f.coefficient(()):
-        raise ValueError("geometric series requires no constant term")
     out = type(f).one(f.truncation)
-    val = f.valuation()
-    if val is None:
-        return out
-    power = out
-    for _ in range(f.truncation // val):
-        power = power * f
+    for power in _powers(f):
         out = out + power
     return out

@@ -221,6 +221,14 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "malformed" in err
+    # arity keys that int() would take: "1_0" would read as arity 10
+    for key, misread in (("1_0", 10), (" 3", 3), ("+3", 3), ("\uff13", 3)):
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps({"genus1": {key: [[misread]]}}), encoding="utf-8")
+        code, out, err = run(capsys, ["expand", "tree", "--spec", str(loose)])
+        assert code == 2
+        assert out == ""
+        assert f"genus1 key {key!r}" in err
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")
     code, _, err = run(capsys, ["expand", "b1", "--spec", str(binary)])

@@ -7,6 +7,12 @@ rendering and the JSON form of both ``SymFunc`` and ``WreathSymFunc``
 (``dih``) well above degree 1, so a refactor of the algebra that changes a
 single byte of output fails here.
 
+``B1_DEGREE_12`` is the sha256 of the full stdout of ``plethys expand b1
+--max-degree 12 --spec STANDARD``, the run that the benchmark's
+``expand-b1`` workload times; the fixed-point test below checks the tree
+series behind it on the standard module and two variants of its genus-0
+part.
+
 Each ``enumerate`` digest is the sha256 of the full stdout of
 ``plethys enumerate F --n N --spec STANDARD``: the canonical encodings of
 every class of the labeled census, in order, and the class count.  They pin
@@ -19,7 +25,8 @@ import json
 import pytest
 
 from plethys.cli import SPEC_REQUIRED, main
-from plethys.series import ModuleSpec
+from plethys.series import ModuleSpec, a_series, tree_fixed_point
+from plethys.symfunc import SymFunc, partial_p, plethysm
 
 GOLDEN = {
     ("ass", "json"): "1e4ce5cec098a45f6c2954bf40a55c3c6cd3b8afbf6108659d28c8da47e90858",
@@ -35,6 +42,8 @@ GOLDEN = {
     ("b1", "json"): "6c7084141d9c77942a807f5e46da1e564f3c16d77bda06f76d4c07eff1c6fb2a",
     ("b1", "text"): "299185d5785d72591238e1237d81563ee2c4538c88e9cf68546e47f2091bd976",
 }
+
+B1_DEGREE_12 = "c7b8f7be5724c08a3398a134893af9bb7a5737048439c11cd3f0dc6c5735af29"
 
 ENUMERATE_GOLDEN = {
     ("necklace", 4): "fdd425f6d03c78314f108d07bb2d956b5222384bfd27aaa2eadf9386cd2e7566",
@@ -68,3 +77,29 @@ def test_enumerate_output_digest(capsys, standard_spec, family, n):
     assert main(["enumerate", family, "--n", str(n), "--spec", standard_spec]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ENUMERATE_GOLDEN[family, n]
+
+
+def test_expand_b1_degree_12_digest(capsys, standard_spec):
+    assert main(["expand", "b1", "--max-degree", "12", "--spec", standard_spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == B1_DEGREE_12
+
+
+STD = ModuleSpec.standard()
+# the standard module and two genus-0 swaps from the seed pool of the
+# benchmark's expand-b1 workload
+TREE_MODULES = {
+    "standard": STD,
+    "genus0[3][0]=2.1": ModuleSpec(genus0={**STD.genus0, 3: [(2, 1)]}, genus1=STD.genus1),
+    "genus0[4][1]=1.1.1.1": ModuleSpec(
+        genus0={**STD.genus0, 4: [(4,), (1, 1, 1, 1)]}, genus1=STD.genus1
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(TREE_MODULES))
+def test_tree_fixed_point_at_degree_12(module):
+    N = 12
+    a0 = a_series(TREE_MODULES[module], 0, N)
+    f = tree_fixed_point(a0)
+    assert f == SymFunc.p(1, N) + plethysm(partial_p(1, a0), f)

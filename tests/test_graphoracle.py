@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations_with_replacement, product
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,46 @@ def cycle_graph(k, legs_per_vertex=1):
         dec_index=[0] * k,
         dec_block=[0] * H,
     )
+
+
+SUMS_CHOICES = [
+    (),  # k = 0: only the empty tuple, and only for total 0
+    ((),),
+    ((1, 2), ()),
+    ((), (1, 2)),
+    ((0, 1, 2),),
+    ((1, 2, 3),) * 3,
+    ((3, 4, 5, 6),) * 4,
+    ((1, 2, 4), (3, 4, 5, 6), (3, 4, 5, 6)),
+    (range(1, 4), range(0, 6), range(1, 2), range(0, 3)),
+    (range(2, 2), range(0, 3)),
+]
+
+
+@pytest.mark.parametrize("choices", SUMS_CHOICES, ids=repr)
+def test_sums_against_brute_force(choices):
+    # totals from below the least reachable sum to above the greatest
+    top = sum(max(c, default=0) for c in choices)
+    for total in range(-2, top + 3):
+        want = [t for t in product(*choices) if sum(t) == total]
+        assert list(go._sums(choices, total)) == want
+
+
+@pytest.mark.parametrize("prof0", [(), (3,), (3, 4, 5, 6), (4, 6)])
+@pytest.mark.parametrize("uses_g1", [False, True])
+def test_vertex_shapes_against_brute_force(prof0, uses_g1):
+    # the genus-1 vertex first, then genus-0 valences non-decreasing
+    prof1 = (1, 2, 3, 4)
+    for V in range(1, 5):
+        heads = [(m,) for m in prof1] if uses_g1 else [()]
+        for total in range(-1, 6 * V + 3):
+            want = [
+                tuple(zip((1,) * len(head) + (0,) * (V - len(head)), head + rest))
+                for head in heads
+                for rest in combinations_with_replacement(prof0, V - len(head))
+                if sum(head + rest) == total
+            ]
+            assert list(go._vertex_shapes(prof0, prof1, V, total, uses_g1)) == want
 
 
 def test_betti1_examples():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,14 @@ def test_module_spec_json_roundtrip():
     assert obj["genus0"]["4"] == [[4], [2, 2]]
     with pytest.raises(ModuleSpecError):
         ModuleSpec.from_json_obj({"genus0": {"x": [[3]]}})
+    # arity keys are plain runs of ASCII digits: int() would read "1_0" as
+    # 10 and accept the others
+    for key, misread in (("1_0", 10), (" 3", 3), ("3 ", 3), ("+3", 3), ("\uff13", 3)):
+        with pytest.raises(ModuleSpecError, match=re.escape(f"genus1 key {key!r}")):
+            ModuleSpec.from_json_obj({"genus1": {key: [[misread]]}})
+    # two keys naming one arity would leave only the later one
+    with pytest.raises(ModuleSpecError, match="repeats arity 3"):
+        ModuleSpec.from_json_obj({"genus0": {"3": [[3]], "03": [[2, 1]]}})
     with pytest.raises(ModuleSpecError):
         ModuleSpec.from_json_obj({"bogus": {}})
     # JSON true is a bool, which Python counts as the int 1

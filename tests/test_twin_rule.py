@@ -34,7 +34,7 @@ def _reference_fill(spec, shape, E, leg_labels, census, budget):
     decorations = go._decorations(
         [spec.genus0[m] if g == 0 else spec.genus1[m] for g, m in shape], offsets, valences
     )
-    for int_counts in go._int_splits(valences, 2 * E, 1 if V > 1 else 0):
+    for int_counts in go._sums([range(1 if V > 1 else 0, m + 1) for m in valences], 2 * E):
         internal = tuple(
             h for v in range(V) for h in range(offsets[v], offsets[v] + int_counts[v])
         )
