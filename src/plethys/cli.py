@@ -16,6 +16,7 @@ cap, but the value is still validated.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,6 +27,7 @@ from .series import (
     ModuleSpec,
     ModuleSpecError,
     a_series,
+    ass_series,
     b1_series,
     cyclic_necklace_series,
     necklace_series,
@@ -71,11 +73,27 @@ def _check_args(args) -> None:
         raise InputError("--n must be >= 1: enumeration needs at least one labeled leg")
 
 
+def _unique_keys(pairs) -> dict:
+    """JSON object hook: a key given twice is a malformed spec, where
+    ``json.load`` alone would keep the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModuleSpecError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
 def _load_spec(path: str) -> ModuleSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            obj = json.load(fh, object_pairs_hook=_unique_keys)
+        except ModuleSpecError:
+            raise
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad syntax or encoding, or an integer longer than
+            # int() converts; RecursionError: nesting deeper than the
+            # decoder's recursion limit
             raise ModuleSpecError(f"spec file is not valid JSON: {exc}")
     return ModuleSpec.from_json_obj(obj)
 
@@ -93,8 +111,6 @@ def cmd_expand(args) -> int:
     if target in SPEC_REQUIRED and args.spec is None:
         raise InputError(f"expand {target} requires --spec")
     if target == "ass":
-        from .series import ass_series
-
         _emit_series(ass_series(N), args)
         return EXIT_OK
     if target == "dih":
@@ -124,14 +140,7 @@ def cmd_verify(args) -> int:
     else:
         results = [verify.run_suite(args.suite, spec, *sizing)]
     if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {"suite": r.suite, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ]
-            )
-        )
+        print(json.dumps([dataclasses.asdict(r) for r in results]))
     else:
         for r in results:
             print(r.line())

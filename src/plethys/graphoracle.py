@@ -137,9 +137,6 @@ class DecoratedGraph:
             out[v].append(h)
         return out
 
-    def legs(self):
-        return [h for h in range(len(self.vertex_of)) if self.inv[h] == h]
-
     def check(self):
         """Validate the structural invariants; used by tests."""
         H = len(self.vertex_of)
@@ -611,13 +608,6 @@ def _least_up_to_symmetry(comp, oriented: bool) -> bool:
     return all(comp <= s[i:] + s[:i] for s in shapes for i in range(len(s)))
 
 
-def _necklace_census(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
-    census: dict = {}
-    for graph in _necklace_graphs(spec, n, oriented, budget, labeled=True):
-        _insert(census, canonical_form(graph), graph, budget)
-    return dict(sorted(census.items()))
-
-
 def _vertex_shapes(prof0, prof1, V, total, uses_g1):
     """The (genus, valence) layouts of V vertices with valences summing to
     ``total``: the genus-1 vertex first when ``uses_g1``, then genus-0
@@ -631,15 +621,14 @@ def _vertex_shapes(prof0, prof1, V, total, uses_g1):
             yield tuple(zip(genus, valences))
 
 
-def _matching_census(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget: Budget):
+def _matching_graphs(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget: Budget):
     """Connected decorated graphs built from raw perfect matchings of
-    internal ports.
+    internal ports, isomorphic ones included.
 
     ``total_genus_one`` selects graphs of total genus one (either one
     genus-1 vertex on a tree, or all genus 0 with one cycle); otherwise
     genus-0 trees (the rooted-tree family, whose leg labels include 0).
     """
-    census: dict = {}
     nlegs = len(leg_labels)
     prof0 = tuple(sorted(m for m, lams in spec.genus0.items() if lams))
     prof1 = tuple(sorted(m for m, lams in spec.genus1.items() if lams))
@@ -659,13 +648,12 @@ def _matching_census(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget
             if min_need > need:
                 break
             for shape in _vertex_shapes(prof0, prof1, V, need, uses_g1):
-                _fill_shape(spec, shape, E, leg_labels, census, budget)
+                yield from _fill_shape(spec, shape, E, leg_labels, budget)
             V += 1
-    return dict(sorted(census.items()))
 
 
-def _fill_shape(spec, shape, E, leg_labels, census, budget):
-    """Insert every connected graph on the vertex layout ``shape`` with E
+def _fill_shape(spec, shape, E, leg_labels, budget):
+    """Every connected graph on the vertex layout ``shape`` with E
     edges, by internal-port split, leg assignment, matching and decoration.
 
     Two consecutive vertices are twins when they share genus, valence and
@@ -707,8 +695,7 @@ def _fill_shape(spec, shape, E, leg_labels, census, budget):
             for a in _ordered_set_partitions(leg_labels, leg_counts)
             if all(a[v] < a[v + 1] for v in twins)
         )
-        for graph in _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, connected):
-            _insert(census, canonical_form(graph), graph, budget)
+        yield from _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, connected)
 
 
 def _check_leg_count(n, budget: Budget):
@@ -731,10 +718,15 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int, budget: Budget | 
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "genus1-stable":
-        return _matching_census(spec, tuple(range(1, n + 1)), True, budget)
-    if family == "rooted-tree":
-        return _matching_census(spec, tuple(range(0, n + 1)), False, budget)
-    return _necklace_census(spec, n, family == "oriented-necklace", budget)
+        graphs = _matching_graphs(spec, tuple(range(1, n + 1)), True, budget)
+    elif family == "rooted-tree":
+        graphs = _matching_graphs(spec, tuple(range(0, n + 1)), False, budget)
+    else:
+        graphs = _necklace_graphs(spec, n, family == "oriented-necklace", budget, labeled=True)
+    census: dict = {}
+    for graph in graphs:
+        _insert(census, canonical_form(graph), graph, budget)
+    return dict(sorted(census.items()))
 
 
 # -- characters -----------------------------------------------------------

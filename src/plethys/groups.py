@@ -157,10 +157,8 @@ def cycle_type(x: Perm) -> Partition:
 
 
 def cycle_map_sym(x: Perm, truncation: int) -> SymFunc:
-    """The cycle-map monomial p_{cycle_type(x)}."""
-    if x.degree > truncation:
-        raise ValueError(f"degree {x.degree} exceeds truncation {truncation}")
-    return SymFunc(truncation, {cycle_type(x): Fraction(1)})
+    """The cycle-map monomial p_{cycle_type(x)}: the average over {x}."""
+    return ind_trivial_char([x], truncation)
 
 
 def signed_cycle_monomial(x: SignedPerm):
@@ -176,10 +174,9 @@ def signed_cycle_monomial(x: SignedPerm):
 
 
 def wreath_cycle_map(x: SignedPerm, truncation: int) -> WreathSymFunc:
-    """The wreath cycle-map monomial of a signed permutation."""
-    if x.degree > truncation:
-        raise ValueError(f"degree {x.degree} exceeds truncation {truncation}")
-    return WreathSymFunc(truncation, {signed_cycle_monomial(x): Fraction(1)})
+    """The wreath cycle-map monomial of a signed permutation: the average
+    over {x}."""
+    return ind_trivial_char_wreath([x], truncation)
 
 
 def closure(generators, cap: int = 10000) -> list:

@@ -121,7 +121,10 @@ class ModuleSpec:
                 # "+3" and non-ASCII digits
                 if not (isinstance(key, str) and key.isascii() and key.isdigit()):
                     raise ModuleSpecError(f"{section} key {key!r} is not a decimal arity")
-                n = int(key)
+                try:
+                    n = int(key)
+                except ValueError:  # more digits than int() converts
+                    raise ModuleSpecError(f"{section} key of {len(key)} digits is too long")
                 if n in out:
                     raise ModuleSpecError(f"{section} key {key!r} repeats arity {n}")
                 if not isinstance(lams, list) or not all(isinstance(lam, list) for lam in lams):
@@ -233,19 +236,16 @@ def tree_fixed_point(a0: SymFunc) -> SymFunc:
     """The series of rooted genus-0 trees (including the bare root leg):
     the unique f with lowest term p_1 satisfying f = p_1 + (a0' o f).
 
-    Iteration gains at least one exact degree per step because a0' has
-    valuation >= 2, so it must stabilize within the truncation.
+    p_1 is exact through degree 1, and each pass gains one exact degree
+    because a0' has valuation >= 2, so N - 1 passes reach the truncation N.
     """
     _check_core_series(a0)
     N = a0.truncation
     aprime = partial_p(1, a0)
     f = SymFunc.p(1, N)
-    for _ in range(N + 2):
-        nxt = SymFunc.p(1, N) + plethysm(aprime, f)
-        if nxt == f:
-            return f
-        f = nxt
-    raise ArithmeticError("tree fixed point did not stabilize; valuation bug")
+    for _ in range(N - 1):
+        f = SymFunc.p(1, N) + plethysm(aprime, f)
+    return f
 
 
 def working_truncation(spec: ModuleSpec, degree: int) -> int:

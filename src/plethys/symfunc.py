@@ -23,7 +23,6 @@ partitions: ``SymFunc`` supplies the partition keys, and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -46,7 +45,6 @@ def _validate_partition(lam) -> Partition:
     return lam
 
 
-@lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, each exactly once, in reverse-lex order.
 

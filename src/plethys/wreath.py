@@ -26,6 +26,7 @@ from .symfunc import (
     _TruncatedSeries,
     _substitute,
     adams,
+    d_operator,
     euler_phi,
     geom,
     log_inv,
@@ -114,20 +115,18 @@ def dih_char_closed(n: int, truncation: int) -> WreathSymFunc:
         raise ValueError("n must be a positive integer")
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
-    terms: dict[WreathMonomial, Fraction] = {}
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        key = ((d, E_CLASS),) * (n // d)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(euler_phi(d), 2 * n)
+    # the constructor sorts each key and sums repeated ones: for even n the
+    # rotation term of d = 2 meets the reflection term P_2^{n/2}
+    terms = [
+        (((d, E_CLASS),) * (n // d), Fraction(euler_phi(d), 2 * n))
+        for d in range(1, n + 1)
+        if n % d == 0
+    ]
     if n % 2:
-        key = tuple(sorted(((1, T_CLASS),) + ((2, E_CLASS),) * ((n - 1) // 2)))
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(1, 2)
+        terms.append((((1, T_CLASS),) + ((2, E_CLASS),) * ((n - 1) // 2), Fraction(1, 2)))
     else:
-        key = tuple(sorted(((1, T_CLASS),) * 2 + ((2, E_CLASS),) * (n // 2 - 1)))
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(1, 4)
-        key = ((2, E_CLASS),) * (n // 2)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(1, 4)
+        terms.append((((1, T_CLASS),) * 2 + ((2, E_CLASS),) * (n // 2 - 1), Fraction(1, 4)))
+        terms.append((((2, E_CLASS),) * (n // 2), Fraction(1, 4)))
     return WreathSymFunc(truncation, terms)
 
 
@@ -181,8 +180,6 @@ def plethysm_deg1(f: SymFunc, g: SymFunc) -> SymFunc:
     """Pairing of a homogeneous degree-k symmetric function against the
     k-fold marked restriction of g; computed as the differential operator
     action ``d_operator(f, g)``."""
-    from .symfunc import d_operator
-
     if not f.is_homogeneous():
         raise ValueError("left argument must be homogeneous")
     return d_operator(f, g)

@@ -234,6 +234,22 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["expand", "b1", "--spec", str(binary)])
     assert code == 2
     assert "malformed" in err
+    # a repeated key, nesting past the decoder's recursion limit and
+    # integers longer than int() converts (as a part and as an arity key)
+    for text in (
+        '{"genus0": {"3": [[3]], "4": [[4]], "3": [[2, 1]]}}',
+        '{"genus0": {"3": [[3]]}, "genus0": {"4": [[4]]}}',
+        "[" * 100_000 + "]" * 100_000,
+        '{"genus0": {"3": [[' + "1" * 5000 + "]]}}",
+        '{"genus0": {"' + "3" * 5000 + '": [[3]]}}',
+    ):
+        odd = tmp_path / "odd.json"
+        odd.write_text(text)
+        code, out, err = run(capsys, ["expand", "tree", "--spec", str(odd)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed module spec")
+        assert "Traceback" not in err
     # each subcommand takes only the options it reads
     for argv in (
         ["enumerate", "necklace", "--n", "1", "--spec", str(tmp_path), "--format", "text"],

@@ -6,7 +6,7 @@ identities, powers, the geometric and log series, the JSON round trip, and
 that values of the two algebras never mix.  The operations beyond the ring
 have their laws too: plethysm is a ring homomorphism in its left argument,
 ``partial_p`` obeys the Leibniz rule and ``specialize_s2`` is
-multiplicative.  Plethysm associativity and the composition of Adams
+multiplicative, and the rooted-tree series solves f = p_1 + a0' o f.  Plethysm associativity and the composition of Adams
 operations are acceptance criteria 8a and 8b in ``test_acceptance.py``.
 """
 
@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plethys.series import ModuleSpec, a_series, tree_fixed_point
 from plethys.symfunc import SymFunc, geom, log_inv, partial_p, partitions_of, plethysm
 from plethys.wreath import E_CLASS, T_CLASS, WreathSymFunc, specialize_s2
 
@@ -175,3 +176,31 @@ def test_specialize_s2_is_multiplicative(data):
     f = value_at(data, SymFunc, N, min_degree=3)
     assert specialize_s2(w1 * w2, f) == specialize_s2(w1, f) * specialize_s2(w2, f)
     assert specialize_s2(WreathSymFunc.one(N), f) == SymFunc.one(N)
+
+
+
+@st.composite
+def young_modules(draw):
+    """A genus-0 module of Young summands in arities 3..8 and a truncation
+    N <= 8; a_series drops the arities above N."""
+    N = draw(st.integers(1, 8))
+    arities = draw(st.sets(st.integers(3, 8), max_size=3))
+    genus0 = {
+        m: draw(st.lists(st.sampled_from(partitions_of(m)), min_size=1, max_size=2))
+        for m in sorted(arities)
+    }
+    return ModuleSpec(genus0=genus0), N
+
+
+@LAWS
+@given(young_modules())
+def test_tree_fixed_point_equation(module):
+    # f = p1 + a0' o f with lowest term p1 has one solution, so these two
+    # checks pin the series
+    spec, N = module
+    a0 = a_series(spec, 0, N)
+    f = tree_fixed_point(a0)
+    p1 = SymFunc.p(1, N)
+    assert f == p1 + plethysm(partial_p(1, a0), f)
+    rest = (f - p1).valuation()
+    assert rest is None or rest >= 2

@@ -151,6 +151,20 @@ def test_tree_fixed_point_examples():
     assert got == SymFunc.p(1, N) + h2 + SymFunc.p(1, N) * h2
 
 
+def test_tree_fixed_point_pass_count():
+    # N - 1 passes: none at N = 1, and at N <= 2 every genus-0 summand
+    # (arity >= 3) is truncated away
+    for N in (1, 2):
+        assert tree_fixed_point(a_series(ModuleSpec.standard(), 0, N)) == SymFunc.p(1, N)
+    # at N = 3 the second pass brings in p1*h2; one pass stops at p1 + h2
+    h2 = h_gen(2, 3)
+    assert tree_fixed_point(h_gen(3, 3)) == SymFunc.p(1, 3) + h2 + SymFunc.p(1, 3) * h2
+    # a module with no genus-0 summand has only the bare root leg
+    genus1_only = ModuleSpec(genus1={1: [(1,)], 2: [(2,)]})
+    for N in (1, 2, 3, 8):
+        assert tree_fixed_point(a_series(genus1_only, 0, N)) == SymFunc.p(1, N)
+
+
 def test_tree_fixed_point_satisfies_equation():
     N = 6
     a0 = a_series(ModuleSpec.standard(), 0, N)
