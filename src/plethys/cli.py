@@ -8,9 +8,8 @@ Subcommands:
 Each subcommand takes only the options it reads; any other is a usage
 error.  Exit codes: 0 success, 1 verification failure, 2 input error
 (usage errors included), 3 budget exceeded, 4 internal fault (reported
-with its traceback).  The environment variable PLETHYS_THREADS caps internal
-parallelism; the current implementation is sequential, which satisfies any
-cap, but the value is still validated.
+with its traceback).  Censuses are bounded by their number of legs and the
+classes they hold (``graphoracle.Budget``); the legs bound every graph too.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import graphoracle, verify
@@ -50,22 +48,8 @@ class InputError(Exception):
     pass
 
 
-def _read_threads() -> int:
-    raw = os.environ.get("PLETHYS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"PLETHYS_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"PLETHYS_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
 def _check_args(args) -> None:
-    _read_threads()  # validated only: every run is sequential
-    for flag in ("max_degree", "budget_half_edges", "budget_classes"):
+    for flag in ("max_degree", "budget_classes"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise InputError(f"--{flag.replace('_', '-')} must be >= 1")
@@ -110,13 +94,14 @@ def cmd_expand(args) -> int:
     target = args.what
     if target in SPEC_REQUIRED and args.spec is None:
         raise InputError(f"expand {target} requires --spec")
+    # a given spec is checked even by the targets that do not read it
+    spec = _load_spec(args.spec) if args.spec is not None else None
     if target == "ass":
         _emit_series(ass_series(N), args)
         return EXIT_OK
     if target == "dih":
         _emit_series(dih_series_closed(N), args)
         return EXIT_OK
-    spec = _load_spec(args.spec)
     working = working_truncation(spec, N)
     a0 = a_series(spec, 0, working)
     if target == "cyclic-necklaces":
@@ -134,7 +119,7 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args.spec) if args.spec else ModuleSpec.standard()
     # without --max-degree every suite runs at its own default degree, and
     # each suite sizes its census budget from the degree it runs at
-    sizing = (args.max_degree, args.budget_half_edges, args.budget_classes)
+    sizing = (args.max_degree, args.budget_classes)
     if args.suite == "all":
         results = verify.run_all(spec, *sizing)
     else:
@@ -149,9 +134,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = _load_spec(args.spec)
-    budget = graphoracle.sized_budget(
-        max_half_edges=args.budget_half_edges, max_classes=args.budget_classes
-    )
+    budget = graphoracle.sized_budget(max_classes=args.budget_classes)
     census = graphoracle.enumerate_decorated(spec, args.family, args.n, budget)
     for canon in census:
         print(json.dumps(canon_to_json_obj(canon)))
@@ -172,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default=default_format)
 
     def budgets(p):
-        p.add_argument("--budget-half-edges", type=int, default=None, dest="budget_half_edges")
         p.add_argument("--budget-classes", type=int, default=None, dest="budget_classes")
 
     p_expand = sub.add_parser("expand", help="print one generating series")

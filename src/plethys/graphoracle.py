@@ -65,9 +65,13 @@ FAMILIES = ("genus1-stable", "necklace", "oriented-necklace", "rooted-tree")
 
 @dataclass(frozen=True)
 class Budget:
-    """Guard rails for the enumeration kernels."""
+    """Guard rails for the enumeration kernels: the legs of a census and
+    the classes it holds.  The leg limit bounds the graphs too: stability
+    makes 2g_v - 2 + n_v >= 1 at every vertex v of valence n_v, and over a
+    census graph with n legs these terms sum to n (n - 1 for a rooted tree,
+    whose root is one more leg), so it has at most n vertices and 3n
+    half-edges."""
 
-    max_half_edges: int = 14
     max_legs: int = 5
     max_classes: int = 10**6
 
@@ -79,21 +83,13 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_BUDGET = Budget()
 
 
-def sized_budget(
-    degree: int = 0, max_half_edges: int | None = None, max_classes: int | None = None
-) -> Budget:
-    """The budget of a run whose censuses go up to ``degree`` legs.
-
-    A census graph with n legs has at most n vertices on its cycle and at
-    most 3n half-edges, so the default half-edge and leg limits grow to
-    cover the degree; degree 0 keeps the defaults.  A limit that is given
-    replaces the one it names.
-    """
-    if max_half_edges is None:
-        max_half_edges = max(DEFAULT_BUDGET.max_half_edges, 3 * degree)
+def sized_budget(degree: int = 0, max_classes: int | None = None) -> Budget:
+    """The budget of a run whose censuses go up to ``degree`` legs: the
+    default leg limit grows to cover the degree (degree 0 keeps it), and a
+    given ``max_classes`` replaces the default class limit."""
     if max_classes is None:
         max_classes = DEFAULT_BUDGET.max_classes
-    return Budget(max_half_edges, max(DEFAULT_BUDGET.max_legs, degree), max_classes)
+    return Budget(max(DEFAULT_BUDGET.max_legs, degree), max_classes)
 
 
 class DecoratedGraph:
@@ -494,13 +490,10 @@ def _insert(census, canon, value, budget):
 # -- graph assembly: both enumerators build their graphs here -------------
 
 
-def _layout(valences, budget: Budget):
+def _layout(valences):
     """Half-edge numbering of a vertex layout: vertex v owns the half-edges
     offsets[v], ..., offsets[v] + valences[v] - 1.  Returns (offsets,
-    vertex_of) once the half-edge count is checked against the budget."""
-    H = sum(valences)
-    if H > budget.max_half_edges:
-        raise BudgetExceededError(f"{H} half-edges exceed budget {budget.max_half_edges}")
+    vertex_of)."""
     offsets = []
     vertex_of = []
     for v, m in enumerate(valences):
@@ -551,7 +544,7 @@ def _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, pairings,
                 yield DecoratedGraph(vertex_of, inv, genus, leg_label, dec_index, dec_block, mark)
 
 
-def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, budget: Budget, labeled: bool):
+def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, labeled: bool):
     """Necklaces: every vertex genus 0 and on the single cycle, legs
     attached directly to cycle vertices.
 
@@ -579,7 +572,7 @@ def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, budget: Budget, l
             if not labeled and not _least_up_to_symmetry(comp, oriented):
                 continue
             valences = [lc + 2 for lc in comp]
-            offsets, vertex_of = _layout(valences, budget)
+            offsets, vertex_of = _layout(valences)
             mark = None
             if oriented:
                 mark = [MARK_NONE] * len(vertex_of)
@@ -621,7 +614,7 @@ def _vertex_shapes(prof0, prof1, V, total, uses_g1):
             yield tuple(zip(genus, valences))
 
 
-def _matching_graphs(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget: Budget):
+def _matching_graphs(spec: ModuleSpec, leg_labels, total_genus_one: bool):
     """Connected decorated graphs built from raw perfect matchings of
     internal ports, isomorphic ones included.
 
@@ -648,11 +641,11 @@ def _matching_graphs(spec: ModuleSpec, leg_labels, total_genus_one: bool, budget
             if min_need > need:
                 break
             for shape in _vertex_shapes(prof0, prof1, V, need, uses_g1):
-                yield from _fill_shape(spec, shape, E, leg_labels, budget)
+                yield from _fill_shape(spec, shape, E, leg_labels)
             V += 1
 
 
-def _fill_shape(spec, shape, E, leg_labels, budget):
+def _fill_shape(spec, shape, E, leg_labels):
     """Every connected graph on the vertex layout ``shape`` with E
     edges, by internal-port split, leg assignment, matching and decoration.
 
@@ -667,7 +660,7 @@ def _fill_shape(spec, shape, E, leg_labels, budget):
     V = len(shape)
     genus = tuple(g for g, _ in shape)
     valences = [m for _, m in shape]
-    offsets, vertex_of = _layout(valences, budget)
+    offsets, vertex_of = _layout(valences)
     decorations = _decorations(
         [spec.genus0[m] if g == 0 else spec.genus1[m] for g, m in shape], offsets, valences
     )
@@ -718,11 +711,11 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int, budget: Budget | 
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "genus1-stable":
-        graphs = _matching_graphs(spec, tuple(range(1, n + 1)), True, budget)
+        graphs = _matching_graphs(spec, tuple(range(1, n + 1)), True)
     elif family == "rooted-tree":
-        graphs = _matching_graphs(spec, tuple(range(0, n + 1)), False, budget)
+        graphs = _matching_graphs(spec, tuple(range(0, n + 1)), False)
     else:
-        graphs = _necklace_graphs(spec, n, family == "oriented-necklace", budget, labeled=True)
+        graphs = _necklace_graphs(spec, n, family == "oriented-necklace", labeled=True)
     census: dict = {}
     for graph in graphs:
         _insert(census, canonical_form(graph), graph, budget)
@@ -800,7 +793,7 @@ def _unlabeled_necklace_classes(spec: ModuleSpec, n: int, oriented: bool, budget
     bounds the classes held."""
     _check_leg_count(n, budget)
     classes: dict = {}
-    for graph in _necklace_graphs(spec, n, oriented, budget, labeled=False):
+    for graph in _necklace_graphs(spec, n, oriented, labeled=False):
         canon, orders = _canonical_search(graph)
         _insert(classes, canon, (graph, orders), budget)
     return classes

@@ -112,7 +112,7 @@ class ModuleSpec:
             raise ModuleSpecError(f"unknown module-spec keys: {sorted(unknown)}")
 
         def parse(section):
-            data = obj.get(section) or {}
+            data = obj.get(section, {})
             if not isinstance(data, dict):
                 raise ModuleSpecError(f"{section} must be an object")
             out = {}

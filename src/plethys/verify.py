@@ -208,29 +208,25 @@ def run_suite(
     name: str,
     spec: ModuleSpec | None = None,
     max_degree: int | None = None,
-    max_half_edges: int | None = None,
     max_classes: int | None = None,
 ) -> SuiteResult:
     """Run one suite on ``spec`` (the standard module by default) at
     ``max_degree`` (the suite's own default degree by default).  Its census
     budget is sized from that degree (``graphoracle.sized_budget``); a
-    given limit replaces the one it names."""
+    given ``max_classes`` replaces the default class limit."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
     if spec is None:
         spec = ModuleSpec.standard()
     if max_degree is None:
         max_degree = SUITE_DEFAULT_DEGREE[name]
-    budget = graphoracle.sized_budget(max_degree, max_half_edges, max_classes)
+    budget = graphoracle.sized_budget(max_degree, max_classes)
     return _RUNNERS[name](spec, max_degree, budget)
 
 
 def run_all(
     spec: ModuleSpec | None = None,
     max_degree: int | None = None,
-    max_half_edges: int | None = None,
     max_classes: int | None = None,
 ) -> list[SuiteResult]:
-    return [
-        run_suite(name, spec, max_degree, max_half_edges, max_classes) for name in SUITE_NAMES
-    ]
+    return [run_suite(name, spec, max_degree, max_classes) for name in SUITE_NAMES]

@@ -94,7 +94,7 @@ def test_criterion_4_regression_guard_quarter_term():
     psi2 = adams(2, second_leg_series(a0))
     crippled = necklace_series_direct(a0) - psi2 * geom(psi2) * Fraction(1, 4)
     census_sum = SymFunc.zero(working)
-    budget = go.Budget(max_half_edges=3 * working, max_legs=working)
+    budget = go.Budget(max_legs=working)
     for n in range(1, 5):
         census_sum = census_sum + go.necklace_char_oracle(STD, n, working, budget)
     mismatch = any(

@@ -30,7 +30,7 @@ TRUNCATION = 6
 
 
 def _budget(n):
-    return Budget(max_half_edges=3 * n, max_legs=n)
+    return Budget(max_legs=n)
 
 
 @pytest.mark.parametrize("family", NECKLACE_FAMILIES)

@@ -163,7 +163,7 @@ def _necklace_graphs():
         graph
         for oriented in (False, True)
         for n in range(1, 7)
-        for graph in go._necklace_graphs(STD, n, oriented, go.sized_budget(n), labeled=False)
+        for graph in go._necklace_graphs(STD, n, oriented, labeled=False)
     ]
 
 

@@ -4,12 +4,20 @@ import pytest
 
 from plethys import verify
 from plethys.cli import main
+from plethys.series import ModuleSpec
 
 
 @pytest.fixture
 def tiny_spec(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps({"genus0": {"3": [[3]]}, "genus1": {}}))
+    return str(path)
+
+
+@pytest.fixture
+def std_spec(tmp_path):
+    path = tmp_path / "std.json"
+    path.write_text(json.dumps(ModuleSpec.standard().to_json_obj()))
     return str(path)
 
 
@@ -161,24 +169,25 @@ def test_enumerate_rejects_zero_legs(capsys, tiny_spec):
 def test_enumerate_budget_exit_code(capsys, tiny_spec):
     code, _, err = run(capsys, ["enumerate", "necklace", "--n", "6", "--spec", tiny_spec])
     assert code == 3
-    code, _, err = run(
-        capsys,
-        ["enumerate", "necklace", "--n", "4", "--spec", tiny_spec, "--budget-half-edges", "5"],
-    )
+    # necklace characters come from leg-unlabeled classes; the class budget holds
+    code, _, err = run(capsys, ["verify", "necklaces", "--max-degree", "3", "--budget-classes", "2"])
     assert code == 3
-    # necklace characters come from leg-unlabeled classes; the budgets hold
-    for argv in (
-        ["verify", "cyclic", "--max-degree", "3", "--budget-half-edges", "4"],
-        ["verify", "necklaces", "--max-degree", "3", "--budget-classes", "2"],
-    ):
-        code, _, err = run(capsys, argv)
-        assert code == 3
-        assert "budget" in err
+    assert "budget" in err
+
+
+def test_enumerate_five_legs_at_defaults(capsys, std_spec):
+    # five legs are within the default leg limit, and the legs alone bound
+    # the size of every census graph
+    code, out, err = run(capsys, ["enumerate", "necklace", "--n", "5", "--spec", std_spec])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert json.loads(lines[-1]) == {"classCount": 1022}
+    assert len(lines) == 1023
 
 
 def test_budget_flag_replaces_only_its_limit(capsys):
-    # the flag's value is the default class limit; the half-edge and leg
-    # limits are still sized from the suite's degree
+    # the flag's value is the default class limit; the leg limit is still
+    # sized from the suite's degree
     code, out, err = run(
         capsys, ["verify", "cyclic", "--max-degree", "5", "--budget-classes", "1000000"]
     )
@@ -186,7 +195,7 @@ def test_budget_flag_replaces_only_its_limit(capsys):
     assert out.startswith("cyclic: PASS")
 
 
-@pytest.mark.parametrize("flag", ["--budget-classes", "--budget-half-edges"])
+@pytest.mark.parametrize("flag", ["--budget-classes"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_budget_flags_below_one_are_input_errors(capsys, tiny_spec, flag, value):
     for argv in (
@@ -250,10 +259,28 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: malformed module spec")
         assert "Traceback" not in err
+    # a section that is present must be an object, even when it is falsy
+    for text in (
+        '{"genus0": false}',
+        '{"genus0": [], "genus1": 0}',
+        '{"genus0": ""}',
+        '{"genus0": null}',
+    ):
+        odd = tmp_path / "odd.json"
+        odd.write_text(text)
+        code, out, err = run(capsys, ["expand", "b1", "--spec", str(odd)])
+        assert code == 2
+        assert out == ""
+        assert "genus0 must be an object" in err
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    assert run(capsys, ["expand", "b1", "--spec", str(empty)])[0] == 0
     # each subcommand takes only the options it reads
     for argv in (
         ["enumerate", "necklace", "--n", "1", "--spec", str(tmp_path), "--format", "text"],
         ["expand", "ass", "--max-degree", "2", "--budget-classes", "1"],
+        ["verify", "cyclic", "--budget-half-edges", "4"],
+        ["enumerate", "necklace", "--n", "1", "--spec", str(tmp_path), "--budget-half-edges", "4"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -283,11 +310,18 @@ def test_verify_failure_exit_code(capsys, empty_spec):
     assert "negative-dih: FAIL" in out
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("PLETHYS_THREADS", "2")
-    code, _, _ = run(capsys, ["expand", "ass", "--max-degree", "2"])
-    assert code == 0
-    monkeypatch.setenv("PLETHYS_THREADS", "zero")
-    code, _, err = run(capsys, ["expand", "ass", "--max-degree", "2"])
-    assert code == 2
-    assert "PLETHYS_THREADS" in err
+def test_expand_checks_a_given_spec_for_every_target(capsys, tmp_path, std_spec):
+    # ass and dih read no module, but a --spec they are given must still load
+    arity2 = tmp_path / "arity2.json"
+    arity2.write_text('{"genus0": {"2": [[2]]}}')
+    for what in ("ass", "dih"):
+        code, out, _ = run(capsys, ["expand", what, "--spec", str(tmp_path / "missing.json")])
+        assert code == 2
+        assert out == ""
+        code, out, err = run(capsys, ["expand", what, "--spec", str(arity2)])
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+    # a valid spec changes nothing in their output
+    for what in ("ass", "dih"):
+        assert run(capsys, ["expand", what, "--spec", std_spec]) == run(capsys, ["expand", what])

@@ -241,21 +241,58 @@ def test_budget_enforcement():
     with pytest.raises(BudgetExceededError):
         enumerate_decorated(STD, "necklace", 6)  # default legs budget is 5
     with pytest.raises(BudgetExceededError):
-        enumerate_decorated(STD, "necklace", 4, Budget(max_half_edges=6))
-    with pytest.raises(BudgetExceededError):
         enumerate_decorated(STD, "necklace", 4, Budget(max_classes=3))
     # necklace characters enumerate leg-unlabeled classes under the same checks
     N = 6
     with pytest.raises(BudgetExceededError):
         go.necklace_char_oracle(STD, 6, N)
     with pytest.raises(BudgetExceededError):
-        go.cyclic_necklace_char_oracle(STD, 4, N, Budget(max_half_edges=6))
-    with pytest.raises(BudgetExceededError):
         go.necklace_char_oracle(STD, 4, N, Budget(max_classes=3))
     with pytest.raises(ValueError):
         go.necklace_char_oracle(STD, 0, N)
     with pytest.raises(ValueError):
         go.necklace_char_oracle(STD, 4, 3)
+
+
+# the module of the benchmark's held-out seed: genus1[4][0] = (2, 1, 1)
+HELD_OUT = ModuleSpec(genus0=STD.genus0, genus1={**STD.genus1, 4: [(2, 1, 1)]})
+
+
+def _generated(spec, family, n):
+    if family == "genus1-stable":
+        return go._matching_graphs(spec, tuple(range(1, n + 1)), True)
+    if family == "rooted-tree":
+        return go._matching_graphs(spec, tuple(range(0, n + 1)), False)
+    oriented = family == "oriented-necklace"
+    return (
+        graph
+        for labeled in (True, False)
+        for graph in go._necklace_graphs(spec, n, oriented, labeled)
+    )
+
+
+@pytest.mark.parametrize("spec", [STD, HELD_OUT], ids=["standard", "held-out"])
+@pytest.mark.parametrize("family", go.FAMILIES)
+def test_legs_bound_every_generated_graph(spec, family):
+    # stability makes 2g - 2 + valence >= 1 at every vertex, and over a
+    # graph with L legs these terms sum to L (L - 2 for a genus-0 tree), so
+    # no generated graph has more than L vertices or 3L half-edges; this is
+    # the bound that lets the leg limit stand in for a half-edge limit
+    top = 5 if family.endswith("necklace") else 4
+    for n in range(1, top + 1):
+        count = 0
+        for graph in _generated(spec, family, n):
+            count += 1
+            legs = sum(1 for h, p in enumerate(graph.inv) if h == p)
+            assert legs == (n + 1 if family == "rooted-tree" else n)
+            terms = [
+                2 * g - 2 + len(hs) for g, hs in zip(graph.genus, graph.vertex_half_edges())
+            ]
+            assert min(terms) >= 1
+            assert sum(terms) == (legs - 2 if family == "rooted-tree" else legs)
+            assert graph.vertex_count() <= legs
+            assert graph.half_edge_count() <= 3 * legs
+        assert count or (family == "rooted-tree" and n == 1)
 
 
 def test_repeated_runs_do_the_same_work(monkeypatch):
@@ -278,13 +315,12 @@ def test_repeated_runs_do_the_same_work(monkeypatch):
 
 
 def test_sized_budget():
-    # up to degree 4 a census fits the defaults; above, a graph with n legs
-    # needs up to 3n half-edges and n legs
-    assert go.sized_budget() == go.sized_budget(4) == Budget()
-    assert go.sized_budget(6) == Budget(max_half_edges=18, max_legs=6)
-    # a given limit replaces only the one it names
-    assert go.sized_budget(6, max_classes=7) == Budget(max_half_edges=18, max_legs=6, max_classes=7)
-    assert go.sized_budget(6, max_half_edges=9) == Budget(max_half_edges=9, max_legs=6)
+    # up to degree 5 a census fits the defaults; above, the leg limit grows
+    # to the degree
+    assert go.sized_budget() == go.sized_budget(4) == go.sized_budget(5) == Budget()
+    assert go.sized_budget(6) == Budget(max_legs=6)
+    # a given class limit replaces the default one
+    assert go.sized_budget(6, max_classes=7) == Budget(max_legs=6, max_classes=7)
 
 
 def test_char_of_census_examples():
@@ -357,7 +393,7 @@ def test_tree_census_matches_fixed_point():
         working = max(5, spec.max_arity())
         a0 = a_series(spec, 0, working)
         trees = tree_fixed_point(a0) - SF.p(1, working)
-        budget = Budget(max_half_edges=3 * working, max_legs=working)
+        budget = Budget(max_legs=working)
         for n in range(1, 6):
             assert trees.degree_part(n) == go.tree_char_oracle(spec, n, working, budget)
 

@@ -26,11 +26,11 @@ HELD_OUT = ModuleSpec(genus0=STD.genus0, genus1={**STD.genus1, 4: [(2, 1, 1)]})
 # -- reference, not used by the program ---------------------------------------
 
 
-def _reference_fill(spec, shape, E, leg_labels, census, budget):
+def _reference_fill(spec, shape, E, leg_labels, census):
     V = len(shape)
     genus = tuple(g for g, _ in shape)
     valences = [m for _, m in shape]
-    offsets, vertex_of = go._layout(valences, budget)
+    offsets, vertex_of = go._layout(valences)
     decorations = go._decorations(
         [spec.genus0[m] if g == 0 else spec.genus1[m] for g, m in shape], offsets, valences
     )
@@ -53,7 +53,6 @@ def _reference_fill(spec, shape, E, leg_labels, census, budget):
 def _reference_census(spec, family, n):
     """Canonical forms of the census of ``family`` with n labeled legs."""
     leg_labels = tuple(range(1 if family == "genus1-stable" else 0, n + 1))
-    budget = go.DEFAULT_BUDGET
     prof0 = tuple(sorted(m for m, lams in spec.genus0.items() if lams))
     prof1 = tuple(sorted(m for m, lams in spec.genus1.items() if lams))
     # (uses a genus-1 vertex, first Betti number)
@@ -69,7 +68,7 @@ def _reference_census(spec, family, n):
             if (3 * (V - 1) + prof1[0] if uses_g1 else 3 * V) > need:
                 break
             for shape in go._vertex_shapes(prof0, prof1, V, need, uses_g1):
-                _reference_fill(spec, shape, E, leg_labels, census, budget)
+                _reference_fill(spec, shape, E, leg_labels, census)
             V += 1
     return sorted(census)
 
