@@ -18,7 +18,6 @@ from .symfunc import (
 )
 from .wreath import (
     WreathSymFunc,
-    deg1_iso,
     dih_char_closed,
     dih_series_closed,
     plethysm_deg1,
@@ -28,14 +27,12 @@ from .groups import (
     Perm,
     SignedPerm,
     closure,
-    cycle_map_sym,
     cycle_type,
     cyclic_subgroup,
     dihedral_in_sym,
     hyperoct_dihedral,
     ind_trivial_char,
     ind_trivial_char_wreath,
-    wreath_cycle_map,
 )
 from .series import (
     ModuleSpec,
@@ -52,13 +49,10 @@ from .graphoracle import (
     Budget,
     BudgetExceededError,
     DecoratedGraph,
-    betti1,
     canonical_form,
-    char_of_census,
     cyclic_necklace_char_oracle,
     enumerate_decorated,
     hom_char,
-    is_necklace,
     mv_char,
     necklace_char_oracle,
     tree_char_oracle,

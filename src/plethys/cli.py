@@ -116,7 +116,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load_spec(args.spec) if args.spec else ModuleSpec.standard()
+    spec = _load_spec(args.spec) if args.spec is not None else ModuleSpec.standard()
     # without --max-degree every suite runs at its own default degree, and
     # each suite sizes its census budget from the degree it runs at
     sizing = (args.max_degree, args.budget_classes)

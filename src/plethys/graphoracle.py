@@ -34,12 +34,13 @@ reached (symmetry breaking in the generator, McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Canonical deduplication
 removes the duplicates that remain.
 
-Necklace characters are computed from leg-unlabeled classes (every leg
-carries one common label): each class U contributes the cycle index
-(1/|Aut U|) sum_{a in Aut U} p_{type(a on legs)}.  Genus-one and
-rooted-tree characters are Burnside averages of leg-relabeling fixed
-counts over the leg-labeled census (``char_of_census``), which also
-serves the tests as the independent reference for the necklace path.
+Every census character is a sum of automorphism cycle indices over
+leg-unlabeled classes (every leg 1..n carries one common label): each
+class U contributes (1/|Aut U|) sum_{a in Aut U} p_{type(a on legs)}.
+Necklace layouts are generated unlabeled; the genus-one and rooted-tree
+classes are the labeled census with its labels forgotten (the root label
+0 is kept).  The Burnside average of leg-relabeling fixed counts over the
+labeled census is kept in the tests as the reference for this path.
 Everything here is deliberately independent of the closed formulas it is
 used to check: families are enumerated from raw matchings or cycle
 layouts and compared degreewise against the series module.  Every oracle
@@ -121,55 +122,14 @@ class DecoratedGraph:
         self.dec_block = tuple(dec_block)
         self.mark = tuple(mark) if mark is not None else (MARK_NONE,) * len(self.vertex_of)
 
-    def half_edge_count(self) -> int:
-        return len(self.vertex_of)
-
-    def vertex_count(self) -> int:
-        return len(self.genus)
-
     def vertex_half_edges(self):
         out = [[] for _ in range(len(self.genus))]
         for h, v in enumerate(self.vertex_of):
             out[v].append(h)
         return out
 
-    def check(self):
-        """Validate the structural invariants; used by tests."""
-        H = len(self.vertex_of)
-        assert len(self.inv) == H and len(self.leg_label) == H
-        assert len(self.dec_block) == H and len(self.mark) == H
-        assert len(self.dec_index) == len(self.genus)
-        for h in range(H):
-            assert self.inv[self.inv[h]] == h, "inv must be an involution"
-            if self.inv[h] == h:
-                assert self.leg_label[h] >= 0, "legs carry labels"
-            else:
-                assert self.leg_label[h] == -1, "non-legs carry no label"
-        labels = [l for l in self.leg_label if l >= 0]
-        assert len(labels) == len(set(labels)), "leg labels must be distinct"
-        vhe = self.vertex_half_edges()
-        for v, hs in enumerate(vhe):
-            assert hs, "vertices must be nonempty"
-            valence = len(hs)
-            if self.genus[v] == 0:
-                assert valence >= 3, "genus-0 vertices need valence >= 3"
-            else:
-                assert self.genus[v] == 1 and valence >= 1
-            blocks = sorted(self.dec_block[h] for h in hs)
-            sizes = {}
-            for b in blocks:
-                sizes[b] = sizes.get(b, 0) + 1
-            assert sorted(sizes) == list(range(len(sizes))), "blocks are contiguous"
-        return True
 
-
-# -- basic graph predicates ---------------------------------------------
-
-
-def _edge_list(graph: DecoratedGraph):
-    return sorted(
-        {(min(h, graph.inv[h]), max(h, graph.inv[h])) for h in range(len(graph.vertex_of)) if graph.inv[h] != h}
-    )
+# -- connectivity ----------------------------------------------------------
 
 
 def _component_count(V, edges, vertex_of) -> int:
@@ -188,35 +148,6 @@ def _component_count(V, edges, vertex_of) -> int:
             parent[ra] = rb
             comps -= 1
     return comps
-
-
-def betti1(graph: DecoratedGraph) -> int:
-    """First Betti number: edges - vertices + components."""
-    edges = _edge_list(graph)
-    comps = _component_count(graph.vertex_count(), edges, graph.vertex_of)
-    return len(edges) - graph.vertex_count() + comps
-
-
-def is_connected(graph: DecoratedGraph) -> bool:
-    return _component_count(graph.vertex_count(), _edge_list(graph), graph.vertex_of) == 1
-
-
-def is_necklace(graph: DecoratedGraph) -> bool:
-    """True iff the graph has first Betti number 1 and no separating edge.
-
-    The input must be connected; legs are not edges and never separate.
-    """
-    if not is_connected(graph):
-        raise ValueError("is_necklace requires a connected graph")
-    edges = _edge_list(graph)
-    if len(edges) - graph.vertex_count() + 1 != 1:
-        return False
-    V = graph.vertex_count()
-    for skip in range(len(edges)):
-        rest = edges[:skip] + edges[skip + 1 :]
-        if _component_count(V, rest, graph.vertex_of) != 1:
-            return False
-    return True
 
 
 # -- canonical labeling --------------------------------------------------
@@ -398,31 +329,6 @@ def relabel_legs(graph: DecoratedGraph, mapping: dict) -> DecoratedGraph:
         graph.dec_block,
         graph.mark,
     )
-
-
-def permute_half_edges(graph: DecoratedGraph, hperm, vperm) -> DecoratedGraph:
-    """Rebuild the graph with half-edge h renamed hperm[h] and vertex v
-    renamed vperm[v]; used to test relabeling invariance."""
-    H = len(graph.vertex_of)
-    V = len(graph.genus)
-    vertex_of = [0] * H
-    inv = [0] * H
-    leg = [0] * H
-    block = [0] * H
-    mark = [0] * H
-    for h in range(H):
-        nh = hperm[h]
-        vertex_of[nh] = vperm[graph.vertex_of[h]]
-        inv[nh] = hperm[graph.inv[h]]
-        leg[nh] = graph.leg_label[h]
-        block[nh] = graph.dec_block[h]
-        mark[nh] = graph.mark[h]
-    genus = [0] * V
-    dec_index = [0] * V
-    for v in range(V):
-        genus[vperm[v]] = graph.genus[v]
-        dec_index[vperm[v]] = graph.dec_index[v]
-    return DecoratedGraph(vertex_of, inv, genus, leg, dec_index, block, mark)
 
 
 # -- enumeration ----------------------------------------------------------
@@ -738,20 +644,6 @@ def _perm_of_type(lam, n):
     return mapping
 
 
-def _vertex_profile(graph: DecoratedGraph, mapping=None):
-    """Multiset of (genus, valence, summand, leg-label set) over vertices,
-    optionally with labels relabeled; an isomorphism invariant."""
-    vhe = graph.vertex_half_edges()
-    prof = []
-    for v, hs in enumerate(vhe):
-        labels = [graph.leg_label[h] for h in hs if graph.leg_label[h] >= 0]
-        if mapping is not None:
-            labels = [mapping.get(l, l) for l in labels]
-        prof.append((graph.genus[v], len(hs), graph.dec_index[v], tuple(sorted(labels))))
-    prof.sort()
-    return tuple(prof)
-
-
 def _burnside_char(n: int, truncation: int, points: int, fixed) -> SymFunc:
     """Character of a set of ``points`` permuted by the permutations of
     1..n: the Burnside average (1/n!) sum_pi Fix(pi) p_{type(pi)},
@@ -766,45 +658,13 @@ def _burnside_char(n: int, truncation: int, points: int, fixed) -> SymFunc:
     return SymFunc(truncation, terms)
 
 
-def char_of_census(census, n: int, truncation: int) -> SymFunc:
-    """Character of the census as a module over permutations of the legs
-    1..n, its classes being the points (``_burnside_char``)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("censuses carry legs 1..n with n >= 1")
-    if n > truncation:
-        raise ValueError(f"degree {n} exceeds truncation {truncation}")
-    entries = [(canon, graph, _vertex_profile(graph)) for canon, graph in census.items()]
-
-    def fixed(mapping):
-        # relabeling can fix a class only if it stabilizes the vertex
-        # profile; the cheap test prunes most classes
-        return sum(
-            _vertex_profile(graph, mapping) == profile
-            and canonical_form(relabel_legs(graph, mapping)) == canon
-            for canon, graph, profile in entries
-        )
-
-    return _burnside_char(n, truncation, len(census), fixed)
-
-
-def _unlabeled_necklace_classes(spec: ModuleSpec, n: int, oriented: bool, budget: Budget):
-    """Leg-unlabeled necklace classes with n legs, as a dict from canonical
-    form to (representative, optimal half-edge orders); the class budget
-    bounds the classes held."""
-    _check_leg_count(n, budget)
-    classes: dict = {}
-    for graph in _necklace_graphs(spec, n, oriented, labeled=False):
-        canon, orders = _canonical_search(graph)
-        _insert(classes, canon, (graph, orders), budget)
-    return classes
-
-
 def _leg_actions(graph: DecoratedGraph, orders):
-    """One permutation of the legs per automorphism, the legs numbered
-    1, 2, ... in the first optimal order; an automorphism sends first[i]
-    to order[i]."""
+    """One permutation of the legs labeled 1 or more per automorphism, the
+    legs numbered 1, 2, ... in the first optimal order; an automorphism
+    sends first[i] to order[i].  The root of a rooted tree (label 0) is
+    fixed by every automorphism and left out."""
     first = orders[0]
-    legs = [h for h in first if graph.inv[h] == h]
+    legs = [h for h in first if graph.leg_label[h] >= 1]
     leg_number = {h: i for i, h in enumerate(legs, start=1)}
     actions = []
     for order in orders:
@@ -813,48 +673,65 @@ def _leg_actions(graph: DecoratedGraph, orders):
     return actions
 
 
-def _necklace_aut_char(spec: ModuleSpec, n: int, oriented: bool, truncation: int, budget: Budget) -> SymFunc:
-    """Character of the labeled necklace census from its leg-unlabeled
-    classes: sum over classes U of (1/|Aut U|) sum_{a in Aut U} p_{type(a)},
-    where type(a) is the cycle type of a on the legs.
+def _aut_char(graphs, n: int, truncation: int, budget: Budget | None) -> SymFunc:
+    """Character of a census with n legs from its leg-unlabeled classes.
 
-    A class U whose automorphisms act on its legs through the group S
-    stands for the n!/|S| labeled classes over it, and (1/|Aut U|) sum_a
-    p_{type(a)} = (1/|S|) sum_{s in S} p_{type(s)} is their Burnside
-    average.
+    ``graphs`` meets every class of the census with its legs 1..n all
+    relabeled 1, isomorphic graphs included; they are deduplicated under
+    the class budget.  Each leg-unlabeled class U contributes its cycle
+    index (1/|Aut U|) sum_{a in Aut U} p_{type(a)}, where type(a) is the
+    cycle type of a on the legs labeled 1.  A class U whose automorphisms
+    act on those legs through the group S stands for the n!/|S| labeled
+    classes over it, and (1/|Aut U|) sum_a p_{type(a)} = (1/|S|) sum_{s in
+    S} p_{type(s)} is their Burnside average.
     """
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
+    budget = budget or DEFAULT_BUDGET
+    _check_leg_count(n, budget)
+    classes: dict = {}
+    for graph in graphs:
+        canon, orders = _canonical_search(graph)
+        _insert(classes, canon, (graph, orders), budget)
     out = SymFunc.zero(truncation)
-    for graph, orders in _unlabeled_necklace_classes(spec, n, oriented, budget).values():
+    for graph, orders in classes.values():
         out = out + ind_trivial_char(_leg_actions(graph, orders), truncation)
     return out
 
 
+def _forget_labels(census, n: int):
+    """The graphs of a labeled census with every label 1..n relabeled 1;
+    they meet every leg-unlabeled class (the root label 0 stays)."""
+    forget = dict.fromkeys(range(1, n + 1), 1)
+    return (relabel_legs(graph, forget) for graph in census.values())
+
+
 def mv_char(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of all decorated stable graphs of total genus one with n
-    legs (including the bare genus-1 corolla), by Burnside averaging over
-    the labeled census."""
-    return char_of_census(enumerate_decorated(spec, "genus1-stable", n, budget), n, truncation)
+    legs (including the bare genus-1 corolla), from the automorphism groups
+    of the leg-unlabeled classes of the labeled census."""
+    census = enumerate_decorated(spec, "genus1-stable", n, budget)
+    return _aut_char(_forget_labels(census, n), n, truncation, budget)
 
 
 def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of the unordered necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
-    return _necklace_aut_char(spec, n, False, truncation, budget or DEFAULT_BUDGET)
+    return _aut_char(_necklace_graphs(spec, n, False, labeled=False), n, truncation, budget)
 
 
 def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of the cyclically oriented necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
-    return _necklace_aut_char(spec, n, True, truncation, budget or DEFAULT_BUDGET)
+    return _aut_char(_necklace_graphs(spec, n, True, labeled=False), n, truncation, budget)
 
 
 def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
     """Character of rooted genus-0 trees (root leg 0 distinguished) as a
-    module over permutations of the legs 1..n, by Burnside averaging over
-    the labeled census."""
-    return char_of_census(enumerate_decorated(spec, "rooted-tree", n, budget), n, truncation)
+    module over permutations of the legs 1..n, from the automorphism groups
+    of the leg-unlabeled classes of the labeled census."""
+    census = enumerate_decorated(spec, "rooted-tree", n, budget)
+    return _aut_char(_forget_labels(census, n), n, truncation, budget)
 
 
 def hom_char(action: str, glam, truncation: int) -> SymFunc:

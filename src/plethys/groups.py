@@ -156,11 +156,6 @@ def cycle_type(x: Perm) -> Partition:
     return tuple(sorted((len(c) for c in x.cycles()), reverse=True))
 
 
-def cycle_map_sym(x: Perm, truncation: int) -> SymFunc:
-    """The cycle-map monomial p_{cycle_type(x)}: the average over {x}."""
-    return ind_trivial_char([x], truncation)
-
-
 def signed_cycle_monomial(x: SignedPerm):
     """Wreath cycle-map key of a signed permutation: one (length, class)
     factor per cycle, the class given by the product of signs along it."""
@@ -171,12 +166,6 @@ def signed_cycle_monomial(x: SignedPerm):
             sign *= x.signs[i - 1]
         key.append((len(cyc), E_CLASS if sign == 1 else T_CLASS))
     return tuple(sorted(key))
-
-
-def wreath_cycle_map(x: SignedPerm, truncation: int) -> WreathSymFunc:
-    """The wreath cycle-map monomial of a signed permutation: the average
-    over {x}."""
-    return ind_trivial_char_wreath([x], truncation)
 
 
 def closure(generators, cap: int = 10000) -> list:

@@ -170,12 +170,6 @@ def specialize_s2(w: WreathSymFunc, f: SymFunc) -> SymFunc:
     return _substitute(w._terms.items(), image, f.truncation)
 
 
-def deg1_iso(lam, truncation: int) -> SymFunc:
-    """Degree-one dictionary: the conjugacy class of cycle type lam maps to
-    the power-sum monomial p_lam."""
-    return SymFunc(truncation, {tuple(lam): Fraction(1)})
-
-
 def plethysm_deg1(f: SymFunc, g: SymFunc) -> SymFunc:
     """Pairing of a homogeneous degree-k symmetric function against the
     k-fold marked restriction of g; computed as the differential operator

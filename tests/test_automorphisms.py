@@ -1,4 +1,4 @@
-"""Necklace characters from automorphism groups, checked against the
+"""Census characters from automorphism groups, checked against the
 labeled Burnside path and against an isomorphism test from networkx."""
 
 import random
@@ -11,12 +11,13 @@ from plethys.graphoracle import (
     Budget,
     DecoratedGraph,
     canonical_form,
-    char_of_census,
     enumerate_decorated,
-    permute_half_edges,
 )
 from plethys.series import ModuleSpec
 from plethys.verify import run_suite
+
+from burnside_reference import char_of_census
+from graph_helpers import half_edge_count, permute_half_edges, vertex_count
 
 STD = ModuleSpec.standard()
 TINY = ModuleSpec(genus0={3: [(3,)]})
@@ -24,6 +25,12 @@ TINY = ModuleSpec(genus0={3: [(3,)]})
 SKEW = ModuleSpec(
     genus0={**STD.genus0, 4: [(2, 1, 1), (2, 2)]},
     genus1=STD.genus1,
+)
+# the standard genus-0 part with the genus-1 Young modules (1), (1,1),
+# (2,1) and (2,2)
+YOUNG1 = ModuleSpec(
+    genus0=STD.genus0,
+    genus1={1: [(1,)], 2: [(1, 1)], 3: [(2, 1)], 4: [(2, 2)]},
 )
 NECKLACE_FAMILIES = ("necklace", "oriented-necklace")
 TRUNCATION = 6
@@ -33,19 +40,48 @@ def _budget(n):
     return Budget(max_legs=n)
 
 
-@pytest.mark.parametrize("family", NECKLACE_FAMILIES)
+def _classes(graphs):
+    """Canonical form to (representative, optimal half-edge orders)."""
+    classes = {}
+    for graph in graphs:
+        canon, orders = go._canonical_search(graph)
+        classes.setdefault(canon, (graph, orders))
+    return classes
+
+
+def _unlabeled(spec, family, n, labeled):
+    """Graphs meeting every leg-unlabeled class of the family, as the
+    oracles generate them; ``labeled`` is the labeled census."""
+    if family in NECKLACE_FAMILIES:
+        return list(go._necklace_graphs(spec, n, family == "oriented-necklace", labeled=False))
+    return list(go._forget_labels(labeled, n))
+
+
+AUT_CASES = [
+    (name, spec, family, top)
+    for family in NECKLACE_FAMILIES
+    for name, spec, top in (("std", STD, 5), ("tiny", TINY, 5), ("skew", SKEW, 4))
+] + [
+    ("std", STD, "genus1-stable", 4),
+    ("young1", YOUNG1, "genus1-stable", 4),
+    ("std", STD, "rooted-tree", 5),
+    ("skew", SKEW, "rooted-tree", 5),
+]
+
+
 @pytest.mark.parametrize(
-    "spec, top", [(STD, 5), (TINY, 5), (SKEW, 4)], ids=["std", "tiny", "skew"]
+    "spec, family, top",
+    [pytest.param(spec, family, top, id=f"{name}-{family}") for name, spec, family, top in AUT_CASES],
 )
 def test_aut_char_equals_burnside_char(spec, top, family):
-    oriented = family == "oriented-necklace"
     for n in range(1, top + 1):
         budget = _budget(n)
         labeled = enumerate_decorated(spec, family, n, budget)
         burnside = char_of_census(labeled, n, TRUNCATION)
-        assert go._necklace_aut_char(spec, n, oriented, TRUNCATION, budget) == burnside
+        graphs = _unlabeled(spec, family, n, labeled)
+        assert go._aut_char(graphs, n, TRUNCATION, budget) == burnside
         # each unlabeled class U stands for n!/|leg image of Aut U| labeled ones
-        classes = go._unlabeled_necklace_classes(spec, n, oriented, budget)
+        classes = _classes(graphs)
         labeled_count = sum(
             factorial(n) // len(set(go._leg_actions(graph, orders)))
             for graph, orders in classes.values()
@@ -57,13 +93,10 @@ def test_aut_char_equals_burnside_char(spec, top, family):
 def test_unlabeled_classes_are_the_labeled_ones_with_legs_forgotten(family):
     # the unlabeled layouts stop at one composition per rotation (and
     # reversal) class; every labeled class must still show up among them
-    oriented = family == "oriented-necklace"
     for n in range(1, 7):
-        budget = _budget(n)
-        forget = dict.fromkeys(range(1, n + 1), 1)
-        labeled = enumerate_decorated(STD, family, n, budget)
-        forgotten = {canonical_form(go.relabel_legs(g, forget)) for g in labeled.values()}
-        assert set(go._unlabeled_necklace_classes(STD, n, oriented, budget)) == forgotten
+        labeled = enumerate_decorated(STD, family, n, _budget(n))
+        forgotten = {canonical_form(g) for g in go._forget_labels(labeled, n)}
+        assert set(_classes(_unlabeled(STD, family, n, labeled))) == forgotten
 
 
 @pytest.mark.parametrize("suite", ["cyclic", "necklaces"])
@@ -109,8 +142,8 @@ def _random_graph(rng, same_labels):
 
 
 def _shuffled(rng, graph):
-    hperm = list(range(graph.half_edge_count()))
-    vperm = list(range(graph.vertex_count()))
+    hperm = list(range(half_edge_count(graph)))
+    vperm = list(range(vertex_count(graph)))
     rng.shuffle(hperm)
     rng.shuffle(vperm)
     return permute_half_edges(graph, hperm, vperm)
@@ -135,7 +168,7 @@ def _to_networkx(nx, graph):
         )
     kinds: dict = {}
     for h, v in enumerate(graph.vertex_of):
-        for g in range(h + 1, graph.half_edge_count()):
+        for g in range(h + 1, half_edge_count(graph)):
             if graph.vertex_of[g] == v:
                 kinds.setdefault((h, g), set()).add("vertex")
         if graph.inv[h] > h:
@@ -170,7 +203,7 @@ def random_pairs():
         elif roll < 0.7:
             # same shape, one attribute redrawn: isomorphic or not
             mark = list(g.mark)
-            h = rng.randrange(g.half_edge_count())
+            h = rng.randrange(half_edge_count(g))
             mark[h] = rng.randint(0, 2)
             g2 = DecoratedGraph(
                 g.vertex_of, g.inv, g.genus, g.leg_label, g.dec_index, g.dec_block, mark

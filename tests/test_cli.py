@@ -220,10 +220,14 @@ def test_malformed_spec_exit_code(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(capsys, ["expand", "b1", "--spec", str(tmp_path / "missing.json")])
     assert code == 2
-    for argv in (["expand", "b1"], ["verify", "bb"], ["enumerate", "necklace", "--n", "1"]):
-        code, _, err = run(capsys, argv + ["--spec", str(tmp_path)])
-        assert code == 2
-        assert err.startswith("error: ")
+    # a directory, and an empty path that names no file (not the standard
+    # module)
+    for path in (str(tmp_path), ""):
+        for argv in (["expand", "b1"], ["verify", "bb"], ["enumerate", "necklace", "--n", "1"]):
+            code, out, err = run(capsys, argv + ["--spec", path])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
     boolean = tmp_path / "boolean.json"
     boolean.write_text('{"genus0": {"3": [[true, 1, 1]]}}')
     code, out, err = run(capsys, ["expand", "b1", "--spec", str(boolean)])

