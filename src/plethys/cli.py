@@ -15,7 +15,6 @@ classes they hold (``graphoracle.Budget``); the legs bound every graph too.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -125,7 +124,7 @@ def cmd_verify(args) -> int:
     else:
         results = [verify.run_suite(args.suite, spec, *sizing)]
     if args.format == "json":
-        print(json.dumps([dataclasses.asdict(r) for r in results]))
+        print(json.dumps([r._asdict() for r in results]))
     else:
         for r in results:
             print(r.line())

@@ -49,7 +49,7 @@ is a plain function of its arguments and keeps nothing between calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -64,8 +64,7 @@ MARK_NEXT = 2
 FAMILIES = ("genus1-stable", "necklace", "oriented-necklace", "rooted-tree")
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "max_legs max_classes", defaults=(5, 10**6))):
     """Guard rails for the enumeration kernels: the legs of a census and
     the classes it holds.  The leg limit bounds the graphs too: stability
     makes 2g_v - 2 + n_v >= 1 at every vertex v of valence n_v, and over a
@@ -73,8 +72,7 @@ class Budget:
     whose root is one more leg), so it has at most n vertices and 3n
     half-edges."""
 
-    max_legs: int = 5
-    max_classes: int = 10**6
+    __slots__ = ()
 
 
 class BudgetExceededError(RuntimeError):

@@ -8,6 +8,12 @@ in this module is built from that single input series by exact truncated
 operations, and each closed form has an independently enumerated
 graph-census counterpart in ``graphoracle`` that the test suite compares
 against degreewise.
+
+The genus-one series glues before it expands.  Plethysm by the tree series
+T is a ring homomorphism in its left argument that fixes rational constants
+and commutes with Adams operations; T starts at p_1, so it maps degree d
+to degrees >= d and commutes with truncation.  So the necklace series
+composed with T is exactly the necklace formula at a0'' o T and (da0/dp_2) o T.
 """
 
 from __future__ import annotations
@@ -200,24 +206,28 @@ def cyclic_necklace_series(a0: SymFunc) -> SymFunc:
     return _cyclic_sum(second_leg_series(a0))
 
 
-def necklace_series_direct(a0: SymFunc) -> SymFunc:
-    """Sum over unordered necklaces of genus-0 vertices, assembled from
-    ordinary symmetric-function primitives.
+def _necklace_formula(core: SymFunc, adot: SymFunc) -> SymFunc:
+    """Sum over unordered necklaces of genus-0 vertices, from the series
+    ``core`` of vertices with an ordered pair of marked legs and the series
+    ``adot`` = da0/dp_2, by ordinary symmetric-function primitives.
 
     The rotation part is half the oriented sum.  The reflection part is
-    (da0/dp_2 * (1 + da0/dp_2) + (1/4) adams(2, a0'')) / (1 - adams(2, a0'')):
+    (adot * (1 + adot) + (1/4) adams(2, core)) / (1 - adams(2, core)):
     reflections whose axis passes through a vertex contribute the
     derivative terms, reflections whose axis passes through two edges
     contribute the quarter term.
     """
-    _check_core_series(a0)
-    N = a0.truncation
-    core = second_leg_series(a0)
     rotations = _cyclic_sum(core) * Fraction(1, 2)
-    adot = partial_p(2, a0)
     psi2 = adams(2, core)
-    refl = adot * (SymFunc.one(N) + adot) + psi2 * Fraction(1, 4)
+    refl = adot * (SymFunc.one(core.truncation) + adot) + psi2 * Fraction(1, 4)
     return rotations + refl * geom(psi2)
+
+
+def necklace_series_direct(a0: SymFunc) -> SymFunc:
+    """Sum over unordered necklaces of genus-0 vertices: the necklace
+    formula at core = a0'' and adot = da0/dp_2."""
+    _check_core_series(a0)
+    return _necklace_formula(second_leg_series(a0), partial_p(2, a0))
 
 
 def necklace_series(a0: SymFunc, method: str = "direct") -> SymFunc:
@@ -259,8 +269,11 @@ def working_truncation(spec: ModuleSpec, degree: int) -> int:
 
 
 def b1_series(spec: ModuleSpec, truncation: int) -> SymFunc:
-    """The full genus-one series: genus-one corollas plus necklaces, glued
-    along rooted genus-0 trees by plethysm.
+    """The full genus-one series (a1 + N(a0)) o T: genus-one corollas plus
+    necklaces, glued along the rooted genus-0 trees T by plethysm.  N(a0) o T
+    is the necklace formula at a0'' o T and (da0/dp_2) o T, exactly, since
+    plethysm by T is a ring homomorphism commuting with Adams operations and
+    keeps degrees; so two small series are composed, not all of N(a0).
 
     The assembly runs at the working truncation, which keeps the summands
     that reach low degrees through derivatives, and only the result is cut
@@ -269,5 +282,8 @@ def b1_series(spec: ModuleSpec, truncation: int) -> SymFunc:
     working = working_truncation(spec, truncation)
     a0 = a_series(spec, 0, working)
     a1 = a_series(spec, 1, working)
-    full = plethysm(a1 + necklace_series(a0), tree_fixed_point(a0))
+    tree = tree_fixed_point(a0)
+    core = plethysm(second_leg_series(a0), tree)
+    adot = plethysm(partial_p(2, a0), tree)
+    full = plethysm(a1, tree) + _necklace_formula(core, adot)
     return full.truncated(truncation)

@@ -10,7 +10,7 @@ workload; an explicit ``max_degree`` overrides it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import graphoracle
 from .graphoracle import Budget, hom_char
@@ -29,11 +29,8 @@ from .symfunc import SymFunc, h_gen, h_lambda, plethysm
 from .wreath import dih_char_closed, dih_series_closed, plethysm_deg1
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    passed: bool
-    detail: str = ""
+class SuiteResult(namedtuple("SuiteResult", "suite passed detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

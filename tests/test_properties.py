@@ -180,16 +180,21 @@ def test_specialize_s2_is_multiplicative(data):
 
 
 @st.composite
-def young_modules(draw):
-    """A genus-0 module of Young summands in arities 3..8 and a truncation
-    N <= 8; a_series drops the arities above N."""
-    N = draw(st.integers(1, 8))
-    arities = draw(st.sets(st.integers(3, 8), max_size=3))
-    genus0 = {
-        m: draw(st.lists(st.sampled_from(partitions_of(m)), min_size=1, max_size=2))
-        for m in sorted(arities)
-    }
-    return ModuleSpec(genus0=genus0), N
+def young_modules(draw, max_arity=8, genus1=False):
+    """A module of Young summands and a truncation N <= max_arity: genus 0
+    in arities 3..max_arity and, with ``genus1``, genus 1 in arities
+    1..max_arity - 2.  a_series drops the arities above N."""
+
+    def summands(low, high):
+        arities = draw(st.sets(st.integers(low, high), max_size=3))
+        return {
+            m: draw(st.lists(st.sampled_from(partitions_of(m)), min_size=1, max_size=2))
+            for m in sorted(arities)
+        }
+
+    N = draw(st.integers(1, max_arity))
+    genus0 = summands(3, max_arity)
+    return ModuleSpec(genus0, summands(1, max_arity - 2) if genus1 else None), N
 
 
 @LAWS

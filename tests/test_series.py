@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from test_properties import LAWS, young_modules
 
 from plethys.series import (
     ModuleSpec,
@@ -15,6 +17,7 @@ from plethys.series import (
     necklace_series_direct,
     second_leg_series,
     tree_fixed_point,
+    working_truncation,
 )
 from plethys.symfunc import SymFunc, adams, geom, h_gen, h_lambda, plethysm
 
@@ -194,3 +197,41 @@ def test_b1_series_working_truncation():
         genus1={n: list(lams) for n, lams in spec.genus1.items()},
     )
     assert b1_series(spec, 4) != b1_series(smaller, 4)
+
+
+def _b1_before_gluing(spec, truncation):
+    """The reference composition (a1 + N(a0)) o T, which substitutes the
+    whole necklace series into the tree series, cut back to the degree."""
+    working = working_truncation(spec, truncation)
+    a0 = a_series(spec, 0, working)
+    a1 = a_series(spec, 1, working)
+    return plethysm(a1 + necklace_series(a0), tree_fixed_point(a0)).truncated(truncation)
+
+
+STD = ModuleSpec.standard()
+GLUING_MODULES = {
+    "standard": STD,
+    "genus0-only": ModuleSpec(genus0=STD.genus0),
+    "genus1-only": ModuleSpec(genus1=STD.genus1),
+    "empty": ModuleSpec(),
+    "young-heavy": ModuleSpec(
+        genus0={3: [(2, 1), (1, 1, 1)], 4: [(2, 2), (3, 1), (2, 1, 1)], 5: [(3, 2)]},
+        genus1={1: [(1,)], 2: [(1, 1)], 3: [(2, 1)], 4: [(2, 2)]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GLUING_MODULES)
+def test_b1_series_glues_necklace_inputs(name):
+    # plethysm by the tree is a ring homomorphism commuting with adams, so
+    # gluing a0'' and da0/dp_2 first gives the same series term by term
+    spec = GLUING_MODULES[name]
+    for N in range(1, 9):
+        assert b1_series(spec, N) == _b1_before_gluing(spec, N)
+
+
+@LAWS
+@given(young_modules(max_arity=6, genus1=True))
+def test_b1_series_glues_necklace_inputs_on_young_modules(module):
+    spec, N = module
+    assert b1_series(spec, N) == _b1_before_gluing(spec, N)
