@@ -46,7 +46,6 @@ from .series import (
     tree_fixed_point,
 )
 from .graphoracle import (
-    Budget,
     BudgetExceededError,
     DecoratedGraph,
     canonical_form,

@@ -8,8 +8,10 @@ Subcommands:
 Each subcommand takes only the options it reads; any other is a usage
 error.  Exit codes: 0 success, 1 verification failure, 2 input error
 (usage errors included), 3 budget exceeded, 4 internal fault (reported
-with its traceback).  Censuses are bounded by their number of legs and the
-classes they hold (``graphoracle.Budget``); the legs bound every graph too.
+with its traceback).  Every census holds at most ``--budget-classes``
+classes (``graphoracle.DEFAULT_BUDGET`` by default), and ``enumerate --n``
+takes at most ``ENUMERATE_MAX_LEGS`` legs, checked before any graph is
+built.
 """
 
 from __future__ import annotations
@@ -42,6 +44,12 @@ EXIT_INTERNAL = 4
 EXPAND_TARGETS = ("ass", "cyclic-necklaces", "necklaces", "dih", "tree", "b1")
 SPEC_REQUIRED = {"cyclic-necklaces", "necklaces", "tree", "b1"}
 
+# Stability makes 2g_v - 2 + n_v >= 1 at every vertex v of valence n_v, and
+# over a census graph with n legs these terms sum to n (n - 1 for a rooted
+# tree, whose root is one more leg), so it has at most n vertices and 3n
+# half-edges: the leg limit bounds every graph of the census.
+ENUMERATE_MAX_LEGS = 5
+
 
 class InputError(Exception):
     pass
@@ -52,8 +60,11 @@ def _check_args(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise InputError(f"--{flag.replace('_', '-')} must be >= 1")
-    if getattr(args, "n", 1) < 1:
+    n = getattr(args, "n", 1)
+    if n < 1:
         raise InputError("--n must be >= 1: enumeration needs at least one labeled leg")
+    if n > ENUMERATE_MAX_LEGS:
+        raise BudgetExceededError(f"{n} legs exceed budget {ENUMERATE_MAX_LEGS}")
 
 
 def _unique_keys(pairs) -> dict:
@@ -116,8 +127,7 @@ def cmd_expand(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec) if args.spec is not None else ModuleSpec.standard()
-    # without --max-degree every suite runs at its own default degree, and
-    # each suite sizes its census budget from the degree it runs at
+    # without --max-degree every suite runs at its own default degree
     sizing = (args.max_degree, args.budget_classes)
     if args.suite == "all":
         results = verify.run_all(spec, *sizing)
@@ -133,8 +143,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = _load_spec(args.spec)
-    budget = graphoracle.sized_budget(max_classes=args.budget_classes)
-    census = graphoracle.enumerate_decorated(spec, args.family, args.n, budget)
+    census = graphoracle.enumerate_decorated(spec, args.family, args.n, args.budget_classes)
     for canon in census:
         print(json.dumps(canon_to_json_obj(canon)))
     print(json.dumps({"classCount": len(census)}))
@@ -154,7 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default=default_format)
 
     def budgets(p):
-        p.add_argument("--budget-classes", type=int, default=None, dest="budget_classes")
+        p.add_argument(
+            "--budget-classes", type=int, default=graphoracle.DEFAULT_BUDGET, dest="budget_classes"
+        )
 
     p_expand = sub.add_parser("expand", help="print one generating series")
     p_expand.add_argument("what", choices=EXPAND_TARGETS)

@@ -49,7 +49,6 @@ is a plain function of its arguments and keeps nothing between calls.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -64,31 +63,12 @@ MARK_NEXT = 2
 FAMILIES = ("genus1-stable", "necklace", "oriented-necklace", "rooted-tree")
 
 
-class Budget(namedtuple("Budget", "max_legs max_classes", defaults=(5, 10**6))):
-    """Guard rails for the enumeration kernels: the legs of a census and
-    the classes it holds.  The leg limit bounds the graphs too: stability
-    makes 2g_v - 2 + n_v >= 1 at every vertex v of valence n_v, and over a
-    census graph with n legs these terms sum to n (n - 1 for a rooted tree,
-    whose root is one more leg), so it has at most n vertices and 3n
-    half-edges."""
-
-    __slots__ = ()
-
-
 class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its budget."""
 
 
-DEFAULT_BUDGET = Budget()
-
-
-def sized_budget(degree: int = 0, max_classes: int | None = None) -> Budget:
-    """The budget of a run whose censuses go up to ``degree`` legs: the
-    default leg limit grows to cover the degree (degree 0 keeps it), and a
-    given ``max_classes`` replaces the default class limit."""
-    if max_classes is None:
-        max_classes = DEFAULT_BUDGET.max_classes
-    return Budget(max(DEFAULT_BUDGET.max_legs, degree), max_classes)
+# the default limit on the classes one census holds
+DEFAULT_BUDGET = 10**6
 
 
 class DecoratedGraph:
@@ -382,12 +362,10 @@ def _perfect_matchings(ports):
             yield ((a, b),) + sub
 
 
-def _insert(census, canon, value, budget):
+def _insert(census, canon, value, max_classes):
     if canon not in census:
-        if len(census) >= budget.max_classes:
-            raise BudgetExceededError(
-                f"census exceeds class budget {budget.max_classes}"
-            )
+        if len(census) >= max_classes:
+            raise BudgetExceededError(f"census exceeds class budget {max_classes}")
         census[canon] = value
 
 
@@ -595,23 +573,19 @@ def _fill_shape(spec, shape, E, leg_labels):
         yield from _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, connected)
 
 
-def _check_leg_count(n, budget: Budget):
+def _check_leg_count(n):
     if not isinstance(n, int) or n < 1:
         raise ValueError("enumeration needs at least one labeled leg")
-    if n > budget.max_legs:
-        raise BudgetExceededError(f"{n} legs exceed budget {budget.max_legs}")
 
 
-def enumerate_decorated(spec: ModuleSpec, family: str, n: int, budget: Budget | None = None):
+def enumerate_decorated(spec: ModuleSpec, family: str, n: int, max_classes: int = DEFAULT_BUDGET):
     """All isomorphism classes in the family with legs labeled 1..n (rooted
     trees carry an extra distinguished leg 0).
 
     Returns a new dict from canonical form to a representative graph,
     ordered by canonical form.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    _check_leg_count(n, budget)
+    _check_leg_count(n)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "genus1-stable":
@@ -622,7 +596,7 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int, budget: Budget | 
         graphs = _necklace_graphs(spec, n, family == "oriented-necklace", labeled=True)
     census: dict = {}
     for graph in graphs:
-        _insert(census, canonical_form(graph), graph, budget)
+        _insert(census, canonical_form(graph), graph, max_classes)
     return dict(sorted(census.items()))
 
 
@@ -671,26 +645,25 @@ def _leg_actions(graph: DecoratedGraph, orders):
     return actions
 
 
-def _aut_char(graphs, n: int, truncation: int, budget: Budget | None) -> SymFunc:
+def _aut_char(graphs, n: int, truncation: int, max_classes: int) -> SymFunc:
     """Character of a census with n legs from its leg-unlabeled classes.
 
     ``graphs`` meets every class of the census with its legs 1..n all
     relabeled 1, isomorphic graphs included; they are deduplicated under
-    the class budget.  Each leg-unlabeled class U contributes its cycle
-    index (1/|Aut U|) sum_{a in Aut U} p_{type(a)}, where type(a) is the
-    cycle type of a on the legs labeled 1.  A class U whose automorphisms
-    act on those legs through the group S stands for the n!/|S| labeled
-    classes over it, and (1/|Aut U|) sum_a p_{type(a)} = (1/|S|) sum_{s in
-    S} p_{type(s)} is their Burnside average.
+    the class limit ``max_classes``.  Each leg-unlabeled class U contributes
+    its cycle index (1/|Aut U|) sum_{a in Aut U} p_{type(a)}, where type(a)
+    is the cycle type of a on the legs labeled 1.  A class U whose
+    automorphisms act on those legs through the group S stands for the
+    n!/|S| labeled classes over it, and (1/|Aut U|) sum_a p_{type(a)} =
+    (1/|S|) sum_{s in S} p_{type(s)} is their Burnside average.
     """
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
-    budget = budget or DEFAULT_BUDGET
-    _check_leg_count(n, budget)
+    _check_leg_count(n)
     classes: dict = {}
     for graph in graphs:
         canon, orders = _canonical_search(graph)
-        _insert(classes, canon, (graph, orders), budget)
+        _insert(classes, canon, (graph, orders), max_classes)
     out = SymFunc.zero(truncation)
     for graph, orders in classes.values():
         out = out + ind_trivial_char(_leg_actions(graph, orders), truncation)
@@ -704,32 +677,32 @@ def _forget_labels(census, n: int):
     return (relabel_legs(graph, forget) for graph in census.values())
 
 
-def mv_char(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
+def mv_char(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
     """Character of all decorated stable graphs of total genus one with n
     legs (including the bare genus-1 corolla), from the automorphism groups
     of the leg-unlabeled classes of the labeled census."""
-    census = enumerate_decorated(spec, "genus1-stable", n, budget)
-    return _aut_char(_forget_labels(census, n), n, truncation, budget)
+    census = enumerate_decorated(spec, "genus1-stable", n, max_classes)
+    return _aut_char(_forget_labels(census, n), n, truncation, max_classes)
 
 
-def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
+def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
     """Character of the unordered necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
-    return _aut_char(_necklace_graphs(spec, n, False, labeled=False), n, truncation, budget)
+    return _aut_char(_necklace_graphs(spec, n, False, labeled=False), n, truncation, max_classes)
 
 
-def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
+def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
     """Character of the cyclically oriented necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
-    return _aut_char(_necklace_graphs(spec, n, True, labeled=False), n, truncation, budget)
+    return _aut_char(_necklace_graphs(spec, n, True, labeled=False), n, truncation, max_classes)
 
 
-def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int, budget: Budget | None = None) -> SymFunc:
+def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
     """Character of rooted genus-0 trees (root leg 0 distinguished) as a
     module over permutations of the legs 1..n, from the automorphism groups
     of the leg-unlabeled classes of the labeled census."""
-    census = enumerate_decorated(spec, "rooted-tree", n, budget)
-    return _aut_char(_forget_labels(census, n), n, truncation, budget)
+    census = enumerate_decorated(spec, "rooted-tree", n, max_classes)
+    return _aut_char(_forget_labels(census, n), n, truncation, max_classes)
 
 
 def hom_char(action: str, glam, truncation: int) -> SymFunc:

@@ -13,8 +13,14 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import graphoracle
-from .graphoracle import Budget, hom_char
-from .groups import hyperoct_dihedral, dihedral_in_sym, ind_trivial_char, ind_trivial_char_wreath
+from .graphoracle import DEFAULT_BUDGET, hom_char
+from .groups import (
+    cyclic_subgroup,
+    dihedral_in_sym,
+    hyperoct_dihedral,
+    ind_trivial_char,
+    ind_trivial_char_wreath,
+)
 from .series import (
     ModuleSpec,
     a_series,
@@ -61,7 +67,7 @@ def _first_difference(f: SymFunc, part_of, max_degree: int):
     return None
 
 
-def _census_difference(formula: SymFunc, oracle, spec: ModuleSpec, max_degree: int, budget: Budget):
+def _census_difference(formula: SymFunc, oracle, spec: ModuleSpec, max_degree: int, max_classes: int):
     """``_first_difference`` of ``formula`` against a census.
 
     Every census character is homogeneous of degree n, so degree d of the
@@ -70,7 +76,7 @@ def _census_difference(formula: SymFunc, oracle, spec: ModuleSpec, max_degree: i
     """
     N = formula.truncation
     return _first_difference(
-        formula, lambda d: oracle(spec, d, N, budget) if d else SymFunc.zero(N), max_degree
+        formula, lambda d: oracle(spec, d, N, max_classes) if d else SymFunc.zero(N), max_degree
     )
 
 
@@ -81,16 +87,24 @@ def _diff_detail(diff):
     return f"first differing degree {d}: {mine} vs {theirs}"
 
 
-def run_bb(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
+def cyclic_subgroup_average(truncation: int) -> SymFunc:
+    """The cyclically ordered corollas without the closed form: the sum over
+    n of the averages over the cyclic subgroup of S_n."""
+    out = SymFunc.zero(truncation)
+    for n in range(1, truncation + 1):
+        out = out + ind_trivial_char(cyclic_subgroup(n), truncation)
+    return out
+
+
+def run_bb(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     """Closed form of the cyclically-ordered corolla series against the
     averages over cyclic subgroups."""
-    closed = ass_series(max_degree, method="closed")
-    burnside = ass_series(max_degree, method="burnside")
-    detail = _diff_detail(_first_difference(closed, burnside.degree_part, max_degree))
+    averages = cyclic_subgroup_average(max_degree)
+    detail = _diff_detail(_first_difference(ass_series(max_degree), averages.degree_part, max_degree))
     return SuiteResult("bb", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_generating(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
+def run_generating(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     """Per-degree closed dihedral characters against hyperoctahedral
     subgroup averages and against the closed generating series."""
     series = dih_series_closed(max_degree)
@@ -108,7 +122,7 @@ def run_generating(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteRe
     return SuiteResult("generating", True, f"exact for all degrees <= {max_degree}")
 
 
-def run_deg1(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
+def run_deg1(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     """Differential-operator pairing against the orbit-counting oracle."""
     N = max(max_degree, 5)
     cases_g = [((4,), h_gen(4, N)), ((3, 2), h_lambda((3, 2), N))]
@@ -131,20 +145,20 @@ def run_deg1(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
     return SuiteResult("deg1", True, "all operator/orbit pairings agree")
 
 
-def run_cyclic(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
+def run_cyclic(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     """Cyclically-oriented necklace series against the oriented census."""
     working = working_truncation(spec, max_degree)
     a0 = a_series(spec, 0, working)
     formula = cyclic_necklace_series(a0)
     detail = _diff_detail(
         _census_difference(
-            formula, graphoracle.cyclic_necklace_char_oracle, spec, max_degree, budget
+            formula, graphoracle.cyclic_necklace_char_oracle, spec, max_degree, max_classes
         )
     )
     return SuiteResult("cyclic", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_necklaces(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
+def run_necklaces(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     """Unordered necklace series (both computation paths) against the
     unordered census."""
     working = working_truncation(spec, max_degree)
@@ -155,21 +169,21 @@ def run_necklaces(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteRes
     if detail is not None:
         return SuiteResult("necklaces", False, "direct vs wreath path: " + detail)
     detail = _diff_detail(
-        _census_difference(direct, graphoracle.necklace_char_oracle, spec, max_degree, budget)
+        _census_difference(direct, graphoracle.necklace_char_oracle, spec, max_degree, max_classes)
     )
     return SuiteResult("necklaces", detail is None, detail or f"both paths match census through degree {max_degree}")
 
 
-def run_theorem(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
+def run_theorem(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     """End-to-end genus-one series against the full stable-graph census."""
     formula = b1_series(spec, max_degree)
     detail = _diff_detail(
-        _census_difference(formula, graphoracle.mv_char, spec, max_degree, budget)
+        _census_difference(formula, graphoracle.mv_char, spec, max_degree, max_classes)
     )
     return SuiteResult("theorem", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_negative_dih(spec: ModuleSpec, max_degree: int, budget: Budget) -> SuiteResult:
+def run_negative_dih(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     """Negative control: treating the dihedral groups as plain subgroups of
     the symmetric groups and substituting the doubly-marked genus-0 series
     must NOT reproduce the necklace census; the suite passes when a
@@ -180,7 +194,7 @@ def run_negative_dih(spec: ModuleSpec, max_degree: int, budget: Budget) -> Suite
     naive = SymFunc.zero(working)
     for n in range(1, max_degree + 1):
         naive = naive + plethysm(ind_trivial_char(dihedral_in_sym(n), working), core)
-    diff = _census_difference(naive, graphoracle.necklace_char_oracle, spec, max_degree, budget)
+    diff = _census_difference(naive, graphoracle.necklace_char_oracle, spec, max_degree, max_classes)
     if diff is None:
         return SuiteResult(
             "negative-dih", False, f"no difference found through degree {max_degree}; expected one"
@@ -188,8 +202,8 @@ def run_negative_dih(spec: ModuleSpec, max_degree: int, budget: Budget) -> Suite
     return SuiteResult("negative-dih", True, f"difference detected at degree {diff[0]}, as required")
 
 
-# every runner takes (spec, max_degree, budget); the closed-form suites
-# read only the degree
+# every runner takes (spec, max_degree, max_classes); the closed-form
+# suites read only the degree
 _RUNNERS = {
     "bb": run_bb,
     "generating": run_generating,
@@ -205,25 +219,24 @@ def run_suite(
     name: str,
     spec: ModuleSpec | None = None,
     max_degree: int | None = None,
-    max_classes: int | None = None,
+    max_classes: int = DEFAULT_BUDGET,
 ) -> SuiteResult:
     """Run one suite on ``spec`` (the standard module by default) at
-    ``max_degree`` (the suite's own default degree by default).  Its census
-    budget is sized from that degree (``graphoracle.sized_budget``); a
-    given ``max_classes`` replaces the default class limit."""
+    ``max_degree`` (the suite's own default degree by default).  Each
+    census it enumerates has as many legs as the degree it checks and
+    holds at most ``max_classes`` classes."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
     if spec is None:
         spec = ModuleSpec.standard()
     if max_degree is None:
         max_degree = SUITE_DEFAULT_DEGREE[name]
-    budget = graphoracle.sized_budget(max_degree, max_classes)
-    return _RUNNERS[name](spec, max_degree, budget)
+    return _RUNNERS[name](spec, max_degree, max_classes)
 
 
 def run_all(
     spec: ModuleSpec | None = None,
     max_degree: int | None = None,
-    max_classes: int | None = None,
+    max_classes: int = DEFAULT_BUDGET,
 ) -> list[SuiteResult]:
     return [run_suite(name, spec, max_degree, max_classes) for name in SUITE_NAMES]

@@ -8,7 +8,6 @@ import pytest
 
 from plethys import graphoracle as go
 from plethys.graphoracle import (
-    Budget,
     DecoratedGraph,
     canonical_form,
     enumerate_decorated,
@@ -34,10 +33,6 @@ YOUNG1 = ModuleSpec(
 )
 NECKLACE_FAMILIES = ("necklace", "oriented-necklace")
 TRUNCATION = 6
-
-
-def _budget(n):
-    return Budget(max_legs=n)
 
 
 def _classes(graphs):
@@ -75,11 +70,10 @@ AUT_CASES = [
 )
 def test_aut_char_equals_burnside_char(spec, top, family):
     for n in range(1, top + 1):
-        budget = _budget(n)
-        labeled = enumerate_decorated(spec, family, n, budget)
+        labeled = enumerate_decorated(spec, family, n)
         burnside = char_of_census(labeled, n, TRUNCATION)
         graphs = _unlabeled(spec, family, n, labeled)
-        assert go._aut_char(graphs, n, TRUNCATION, budget) == burnside
+        assert go._aut_char(graphs, n, TRUNCATION, go.DEFAULT_BUDGET) == burnside
         # each unlabeled class U stands for n!/|leg image of Aut U| labeled ones
         classes = _classes(graphs)
         labeled_count = sum(
@@ -94,7 +88,7 @@ def test_unlabeled_classes_are_the_labeled_ones_with_legs_forgotten(family):
     # the unlabeled layouts stop at one composition per rotation (and
     # reversal) class; every labeled class must still show up among them
     for n in range(1, 7):
-        labeled = enumerate_decorated(STD, family, n, _budget(n))
+        labeled = enumerate_decorated(STD, family, n)
         forgotten = {canonical_form(g) for g in go._forget_labels(labeled, n)}
         assert set(_classes(_unlabeled(STD, family, n, labeled))) == forgotten
 

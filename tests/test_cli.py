@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from plethys import verify
+from plethys import graphoracle, verify
 from plethys.cli import main
 from plethys.series import ModuleSpec
 
@@ -166,9 +166,24 @@ def test_enumerate_rejects_zero_legs(capsys, tiny_spec):
     assert "labeled leg" in err
 
 
-def test_enumerate_budget_exit_code(capsys, tiny_spec):
-    code, _, err = run(capsys, ["enumerate", "necklace", "--n", "6", "--spec", tiny_spec])
+@pytest.mark.parametrize("family", graphoracle.FAMILIES)
+def test_enumerate_leg_limit_exit_code(capsys, monkeypatch, tiny_spec, family):
+    # six legs exceed the leg limit of ``enumerate`` before any graph is built
+    def no_census(*args):
+        raise AssertionError("a census was enumerated")
+
+    monkeypatch.setattr(graphoracle, "enumerate_decorated", no_census)
+    code, out, err = run(capsys, ["enumerate", family, "--n", "6", "--spec", tiny_spec])
     assert code == 3
+    assert out == ""
+    assert err == "error: 6 legs exceed budget 5\n"
+
+
+def test_enumerate_budget_exit_code(capsys, tiny_spec):
+    argv = ["enumerate", "necklace", "--n", "4", "--spec", tiny_spec, "--budget-classes", "2"]
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert "class budget 2" in err
     # necklace characters come from leg-unlabeled classes; the class budget holds
     code, _, err = run(capsys, ["verify", "necklaces", "--max-degree", "3", "--budget-classes", "2"])
     assert code == 3
@@ -186,8 +201,8 @@ def test_enumerate_five_legs_at_defaults(capsys, std_spec):
 
 
 def test_budget_flag_replaces_only_its_limit(capsys):
-    # the flag's value is the default class limit; the leg limit is still
-    # sized from the suite's degree
+    # the flag's value is the default class limit, and a suite's censuses
+    # have no leg limit
     code, out, err = run(
         capsys, ["verify", "cyclic", "--max-degree", "5", "--budget-classes", "1000000"]
     )
@@ -306,12 +321,21 @@ def test_internal_fault_exit_code(capsys, monkeypatch):
     assert "Traceback" in err and "ValueError: broken invariant" in err
 
 
-def test_verify_failure_exit_code(capsys, empty_spec):
+def test_verify_failure_exit_code(capsys, empty_spec, tmp_path):
     # the negative control needs reflection-sensitive module data; with an
     # empty module no difference can exist, so the suite must fail
     code, out, _ = run(capsys, ["verify", "negative-dih", "--spec", empty_spec, "--max-degree", "3"])
     assert code == 1
     assert "negative-dih: FAIL" in out
+    # nor with trivial genus-0 summands only: each has h_n'' = h_{n-2} =
+    # 2 dh_n/dp_2, so the naive series equals the necklace series
+    trivial = tmp_path / "trivial.json"
+    std = ModuleSpec.standard().to_json_obj()
+    std["genus0"]["4"] = [[4]]
+    trivial.write_text(json.dumps(std))
+    code, out, _ = run(capsys, ["verify", "negative-dih", "--spec", str(trivial)])
+    assert code == 1
+    assert out == "negative-dih: FAIL (no difference found through degree 6; expected one)\n"
 
 
 def test_expand_checks_a_given_spec_for_every_target(capsys, tmp_path, std_spec):

@@ -8,7 +8,6 @@ import pytest
 from plethys import graphoracle as go
 from plethys import verify
 from plethys.graphoracle import (
-    Budget,
     BudgetExceededError,
     DecoratedGraph,
     canon_to_json_obj,
@@ -244,27 +243,26 @@ def test_enumerated_graphs_are_valid():
 
 
 def test_budget_enforcement():
+    # a census is bounded by the classes it holds; the leg limit belongs to
+    # ``plethys enumerate`` alone, and the library takes any number of legs
+    assert len(enumerate_decorated(TINY, "necklace", 6)) == 60
     with pytest.raises(BudgetExceededError):
-        enumerate_decorated(STD, "necklace", 6)  # default legs budget is 5
-    with pytest.raises(BudgetExceededError):
-        enumerate_decorated(STD, "necklace", 4, Budget(max_classes=3))
+        enumerate_decorated(STD, "necklace", 4, 3)
     # necklace characters enumerate leg-unlabeled classes under the same checks
     N = 6
     with pytest.raises(BudgetExceededError):
-        go.necklace_char_oracle(STD, 6, N)
-    with pytest.raises(BudgetExceededError):
-        go.necklace_char_oracle(STD, 4, N, Budget(max_classes=3))
+        go.necklace_char_oracle(STD, 4, N, 3)
     with pytest.raises(ValueError):
         go.necklace_char_oracle(STD, 0, N)
     with pytest.raises(ValueError):
         go.necklace_char_oracle(STD, 4, 3)
-    # the labeled families build their census first: no legs, then the leg
-    # limit, then the truncation
+    # the labeled families build their census first: no legs, then the
+    # class limit, then the truncation
     for oracle in (go.mv_char, go.tree_char_oracle):
         with pytest.raises(ValueError):
             oracle(STD, 0, N)
         with pytest.raises(BudgetExceededError):
-            oracle(STD, 6, 3)
+            oracle(STD, 4, 3, 1)
         with pytest.raises(ValueError):
             oracle(STD, 3, 2)
 
@@ -327,15 +325,6 @@ def test_repeated_runs_do_the_same_work(monkeypatch):
         assert all(r.passed for r in verify.run_all(max_degree=3))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
-
-
-def test_sized_budget():
-    # up to degree 5 a census fits the defaults; above, the leg limit grows
-    # to the degree
-    assert go.sized_budget() == go.sized_budget(4) == go.sized_budget(5) == Budget()
-    assert go.sized_budget(6) == Budget(max_legs=6)
-    # a given class limit replaces the default one
-    assert go.sized_budget(6, max_classes=7) == Budget(max_legs=6, max_classes=7)
 
 
 def test_char_of_census_examples():
@@ -408,9 +397,8 @@ def test_tree_census_matches_fixed_point():
         working = max(5, spec.max_arity())
         a0 = a_series(spec, 0, working)
         trees = tree_fixed_point(a0) - SF.p(1, working)
-        budget = Budget(max_legs=working)
         for n in range(1, 6):
-            assert trees.degree_part(n) == go.tree_char_oracle(spec, n, working, budget)
+            assert trees.degree_part(n) == go.tree_char_oracle(spec, n, working)
 
 
 def test_char_coefficients_times_z_are_integers():

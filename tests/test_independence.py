@@ -1,16 +1,21 @@
-"""The brute-force side stays independent of the closed formulas it checks.
+"""The brute-force side and the closed formulas stay independent.
 
 ``graphoracle`` may take the test module's data (``ModuleSpec``) from the
 series layer and ring arithmetic from ``symfunc``, but none of the
 operations that build the closed series: no plethysm, no Adams operation,
 no complete or power-sum generating series, nothing from ``wreath`` and
-nothing else from ``series``.  The check reads the module's import
-statements, so it holds however the names are used.
+nothing else from ``series``.  In the other direction, the closed-form
+layers ``symfunc``, ``wreath`` and ``series`` import nothing from the
+group averages, the censuses, the suites or the command line.  The checks
+read the modules' import statements, so they hold however the names are
+used.
 """
 
 import ast
 
-from plethys import graphoracle
+import pytest
+
+from plethys import graphoracle, series, symfunc, wreath
 
 FORBIDDEN_NAMES = {"h_lambda", "h_gen", "plethysm", "adams", "log_inv", "geom", "partial_p"}
 SERIES_ALLOWED = {"ModuleSpec"}
@@ -47,10 +52,36 @@ def violations(source):
     return bad
 
 
+ORACLE_LAYERS = {"groups", "graphoracle", "verify", "cli"}
+
+
+def oracle_imports(source):
+    """The imports of a closed-form layer that reach an oracle layer."""
+    return [
+        (module, name) for module, name in _imports(source) if module.split(".")[0] in ORACLE_LAYERS
+    ]
+
+
+def _source(module):
+    with open(module.__file__, encoding="utf-8") as f:
+        return f.read()
+
+
+@pytest.mark.parametrize("module", [symfunc, wreath, series], ids=lambda m: m.__name__)
+def test_closed_forms_import_no_oracle(module):
+    assert oracle_imports(_source(module)) == []
+
+
+def test_oracle_imports_are_found():
+    assert oracle_imports("from .groups import cyclic_subgroup\n") == [("groups", "cyclic_subgroup")]
+    assert oracle_imports("from . import verify\n") == [("verify", None)]
+    assert oracle_imports("import plethys.graphoracle\n") == [("graphoracle", None)]
+    assert oracle_imports("from plethys.cli import main\n") == [("cli", "main")]
+    assert oracle_imports("from .symfunc import SymFunc\nfrom .wreath import E_CLASS\n") == []
+
+
 def test_graphoracle_imports_no_closed_formula():
-    with open(graphoracle.__file__, encoding="utf-8") as f:
-        source = f.read()
-    assert violations(source) == []
+    assert violations(_source(graphoracle)) == []
 
 
 def test_violations_are_found():

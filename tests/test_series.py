@@ -20,6 +20,7 @@ from plethys.series import (
     working_truncation,
 )
 from plethys.symfunc import SymFunc, adams, geom, h_gen, h_lambda, plethysm
+from plethys.verify import cyclic_subgroup_average
 
 
 def test_module_spec_validation():
@@ -101,10 +102,9 @@ def test_ass_series_degree_parts():
 
 
 def test_ass_series_two_paths_agree():
+    # the closed form against the cyclic-subgroup averages of the bb suite
     for N in (6, 12):
-        assert ass_series(N, "closed") == ass_series(N, "burnside")
-    with pytest.raises(ValueError):
-        ass_series(4, "bogus")
+        assert ass_series(N) == cyclic_subgroup_average(N)
 
 
 def test_cyclic_necklace_series_examples():
