@@ -655,11 +655,9 @@ def _aut_char(graphs, n: int, truncation: int, max_classes: int) -> SymFunc:
     is the cycle type of a on the legs labeled 1.  A class U whose
     automorphisms act on those legs through the group S stands for the
     n!/|S| labeled classes over it, and (1/|Aut U|) sum_a p_{type(a)} =
-    (1/|S|) sum_{s in S} p_{type(s)} is their Burnside average.
+    (1/|S|) sum_{s in S} p_{type(s)} is their Burnside average.  The
+    oracles below check 1 <= n <= truncation before building ``graphs``.
     """
-    if n > truncation:
-        raise ValueError(f"degree {n} exceeds truncation {truncation}")
-    _check_leg_count(n)
     classes: dict = {}
     for graph in graphs:
         canon, orders = _canonical_search(graph)
@@ -668,6 +666,13 @@ def _aut_char(graphs, n: int, truncation: int, max_classes: int) -> SymFunc:
     for graph, orders in classes.values():
         out = out + ind_trivial_char(_leg_actions(graph, orders), truncation)
     return out
+
+
+def _check_char_degree(n, truncation):
+    """Each character oracle's input check, run before any census is built."""
+    _check_leg_count(n)
+    if n > truncation:
+        raise ValueError(f"degree {n} exceeds truncation {truncation}")
 
 
 def _forget_labels(census, n: int):
@@ -681,6 +686,7 @@ def mv_char(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAUL
     """Character of all decorated stable graphs of total genus one with n
     legs (including the bare genus-1 corolla), from the automorphism groups
     of the leg-unlabeled classes of the labeled census."""
+    _check_char_degree(n, truncation)
     census = enumerate_decorated(spec, "genus1-stable", n, max_classes)
     return _aut_char(_forget_labels(census, n), n, truncation, max_classes)
 
@@ -688,12 +694,14 @@ def mv_char(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAUL
 def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
     """Character of the unordered necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
+    _check_char_degree(n, truncation)
     return _aut_char(_necklace_graphs(spec, n, False, labeled=False), n, truncation, max_classes)
 
 
 def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
     """Character of the cyclically oriented necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
+    _check_char_degree(n, truncation)
     return _aut_char(_necklace_graphs(spec, n, True, labeled=False), n, truncation, max_classes)
 
 
@@ -701,6 +709,7 @@ def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int
     """Character of rooted genus-0 trees (root leg 0 distinguished) as a
     module over permutations of the legs 1..n, from the automorphism groups
     of the leg-unlabeled classes of the labeled census."""
+    _check_char_degree(n, truncation)
     census = enumerate_decorated(spec, "rooted-tree", n, max_classes)
     return _aut_char(_forget_labels(census, n), n, truncation, max_classes)
 

@@ -431,30 +431,40 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     f._check_compatible(g)
     if g.coefficient(()):
         raise ValueError("plethysm requires the right argument to have no constant term")
-    N = f.truncation
-    gval = g.valuation()
-    if gval is None:
-        gval = N + 1
-    terms = ((lam, c) for lam, c in f._terms.items() if sum(lam) * gval <= N)
-    return _substitute(terms, lambda part: adams(part, g), N)
+    return _substitute(f._terms.items(), lambda part: adams(part, g), f.truncation)
 
 
 def _substitute(terms, image, truncation: int) -> SymFunc:
     """sum c * image(x_1) * image(x_2) * ... over the (monomial, c) pairs
-    in ``terms``, a monomial being the tuple of its factors x_i; ``image``
-    is called once per distinct factor, and a product that reaches zero
-    stops early."""
-    cache: dict = {}
+    in ``terms``, a monomial being the tuple of its factors x_i.
+
+    ``image`` is called once per distinct factor, and each image's
+    valuation is taken with it, a zero image counting as valuation N + 1.
+    A monomial whose image valuations sum past the truncation N has a zero
+    product and is skipped; every other product is nonzero.  The images are
+    multiplied highest valuation first (a stable sort, so equal valuations
+    keep the monomial's own order), so the partial products start sparse.
+    Partition keys list their largest part first, so a plethysm's images
+    already come in that order.
+    """
+    images: dict = {}
+
+    def valued_image(x):
+        entry = images.get(x)
+        if entry is None:
+            value = image(x)
+            val = value.valuation()
+            entry = images[x] = (truncation + 1 if val is None else val, value)
+        return entry
+
     out = SymFunc.zero(truncation)
     for key, c in terms:
+        factors = sorted(map(valued_image, key), key=itemgetter(0), reverse=True)
+        if sum(val for val, _ in factors) > truncation:
+            continue
         acc = SymFunc.one(truncation)
-        for x in key:
-            factor = cache.get(x)
-            if factor is None:
-                factor = cache[x] = image(x)
-            acc = acc * factor
-            if acc.is_zero():
-                break
+        for _, value in factors:
+            acc = acc * value
         out = out + acc * c
     return out
 

@@ -336,6 +336,12 @@ def test_verify_failure_exit_code(capsys, empty_spec, tmp_path):
     code, out, _ = run(capsys, ["verify", "negative-dih", "--spec", str(trivial)])
     assert code == 1
     assert out == "negative-dih: FAIL (no difference found through degree 6; expected one)\n"
+    # nor below degree 2 on the standard module: the first difference sits
+    # at degree 2, so `verify all --max-degree 1` fails on the control alone
+    code, out, _ = run(capsys, ["verify", "all", "--max-degree", "1"])
+    assert code == 1
+    assert out.splitlines()[-1] == "negative-dih: FAIL (no difference found through degree 1; expected one)"
+    assert all(": PASS" in line for line in out.splitlines()[:-1])
 
 
 def test_expand_checks_a_given_spec_for_every_target(capsys, tmp_path, std_spec):

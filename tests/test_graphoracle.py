@@ -256,15 +256,27 @@ def test_budget_enforcement():
         go.necklace_char_oracle(STD, 0, N)
     with pytest.raises(ValueError):
         go.necklace_char_oracle(STD, 4, 3)
-    # the labeled families build their census first: no legs, then the
-    # class limit, then the truncation
+    # the labeled families check the legs and the truncation, then build
+    # their census under the class limit
     for oracle in (go.mv_char, go.tree_char_oracle):
         with pytest.raises(ValueError):
             oracle(STD, 0, N)
         with pytest.raises(BudgetExceededError):
-            oracle(STD, 4, 3, 1)
+            oracle(STD, 4, N, 1)
         with pytest.raises(ValueError):
             oracle(STD, 3, 2)
+
+
+def test_labeled_oracles_check_degree_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a census was built before the input check")
+
+    monkeypatch.setattr(go, "enumerate_decorated", refuse)
+    for oracle in (go.mv_char, go.tree_char_oracle):
+        with pytest.raises(ValueError, match="degree 4 exceeds truncation 3"):
+            oracle(STD, 4, 3)
+        with pytest.raises(ValueError, match="at least one labeled leg"):
+            oracle(STD, 0, 3)
 
 
 # the module of the benchmark's held-out seed: genus1[4][0] = (2, 1, 1)

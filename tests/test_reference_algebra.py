@@ -3,19 +3,22 @@
 The reference below works on plain dicts from keys to ``Fraction``s and
 shares no code with the truncated-series core: the product takes every
 pair of terms and keeps those of degree at most N, and a substitution
-multiplies out every monomial factor by factor, with no image cache and no
-early exit.  The program's product stops at the first right-hand term
-above the room left by the left-hand one, and its substitution caches each
-factor's image and stops on a zero partial product; every one of these
-shortcuts must give the same values as the reference.
+multiplies out every monomial factor by factor in key order, with no image
+cache and no skipped monomial.  The program's product stops at the first
+right-hand term above the room left by the left-hand one.  Its
+substitution caches each factor's image with the image's valuation, skips
+a monomial whose image valuations sum past N (a zero image counting as
+N + 1), and multiplies the images highest valuation first.  Every one of
+these shortcuts must give the same values as the reference.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from plethys.symfunc import SymFunc, _substitute, adams, plethysm
-from plethys.wreath import E_CLASS, WreathSymFunc, specialize_s2
+from plethys.series import ModuleSpec, a_series
+from plethys.symfunc import SymFunc, _substitute, adams, partial_p, plethysm
+from plethys.wreath import E_CLASS, WreathSymFunc, dih_series_closed, specialize_s2
 from test_properties import LAWS, value_at, values
 
 # -- reference, not used by the program ---------------------------------------
@@ -121,3 +124,43 @@ def test_specialize_s2_matches_term_by_term(data):
     # terms of degree 3 and up survive both derivatives
     f = value_at(data, SymFunc, N, min_degree=3)
     assert specialize_s2(w, f) == specialize_s2_ref(w, f)
+
+
+def test_specialize_s2_matches_on_the_dihedral_series():
+    N = 12
+    w = dih_series_closed(N)
+    a0 = a_series(ModuleSpec.standard(), 0, N)
+    assert specialize_s2(w, a0) == specialize_s2_ref(w, a0)
+    # lowest genus-0 arity 5: the image of P_k or Q_k has valuation 3k, so
+    # every wreath monomial of degree 5 and up is skipped and those of
+    # degree 4 land exactly on the truncation
+    a0 = a_series(ModuleSpec(genus0={5: [(5,)], 6: [(3, 3)], 7: [(4, 2, 1)]}), 0, N)
+    assert partial_p(1, partial_p(1, a0)).valuation() == partial_p(2, a0).valuation() == 3
+    assert specialize_s2(w, a0) == specialize_s2_ref(w, a0)
+
+
+def test_plethysm_skips_exactly_the_zero_products():
+    N = 8
+    # a constant term, and monomials whose image valuations sum below, at
+    # and past the truncation
+    f = SymFunc(
+        N,
+        {
+            (): 3,
+            (1,): 1,
+            (2, 1): Fraction(1, 2),
+            (2, 2): -1,
+            (3, 1): 2,
+            (4,): Fraction(-2, 3),
+            (2, 2, 1, 1): 5,
+            (8,): 1,
+        },
+    )
+    for g in (
+        SymFunc(N, {(2,): 1, (1, 1): Fraction(1, 2), (3,): 2, (2, 1, 1): -1}),
+        SymFunc(N, {(3,): 1, (2, 1, 1): -1, (4, 1): Fraction(1, 7)}),
+        SymFunc.zero(N),
+    ):
+        assert g.valuation() is None or g.valuation() >= 2
+        assert plethysm(f, g) == plethysm_ref(f, g)
+    assert plethysm(f, SymFunc.zero(N)) == SymFunc.one(N) * 3
