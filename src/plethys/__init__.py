@@ -25,7 +25,7 @@ from .wreath import (
 )
 from .groups import (
     Perm,
-    SignedPerm,
+    signed_perm,
     closure,
     cycle_type,
     cyclic_subgroup,

@@ -1,10 +1,12 @@
-"""Permutations, signed permutations, small-subgroup closure and cycle maps.
+"""Permutations, small-subgroup closure and cycle maps.
 
 Groups here are always tiny, so subgroups are represented extensionally as
 lists of elements produced by breadth-first closure of a generating set.
 That makes the averaged cycle-map sums (the characters of induced trivial
 representations) one-line folds over the element list, with exact
-rational output.
+rational output.  The hyperoctahedral group S_2 wr S_n is the group of
+permutations of the 2n points +-1..+-n commuting with the flip i <-> -i,
+so its elements are ``Perm``s of degree 2n, point i + n standing for -i.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class Perm:
     @classmethod
     def long_cycle(cls, n: int) -> "Perm":
         """The n-cycle sending 1 -> 2 -> ... -> n -> 1."""
+        if n < 1:
+            raise ValueError("n must be a positive integer")
         return cls(tuple(range(2, n + 1)) + (1,))
 
     @classmethod
@@ -90,81 +94,39 @@ class Perm:
         return f"Perm{self.images}"
 
 
-class SignedPerm:
-    """An element of the degree-n hyperoctahedral group: a vector of signs
-    in {+1, -1} together with a permutation acting on the sign positions.
-
-    Composition follows the semidirect-product rule
-    ``(s, x) * (t, y) = (s . x(t), x y)`` where ``x(t)`` moves the sign at
-    position i to position x(i).  Any consistent convention yields the same
-    conjugacy data; this one is pinned by the closure-order tests.
-    """
-
-    __slots__ = ("signs", "perm")
-
-    def __init__(self, signs, perm: Perm):
-        signs = tuple(signs)
-        if any(s not in (1, -1) for s in signs):
-            raise ValueError(f"signs must be +1/-1, got {signs!r}")
-        if len(signs) != perm.degree:
-            raise ValueError("sign vector and permutation degree mismatch")
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "perm", perm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedPerm is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPerm":
-        return cls((1,) * n, Perm.identity(n))
-
-    @property
-    def degree(self) -> int:
-        return self.perm.degree
-
-    def __mul__(self, other: "SignedPerm") -> "SignedPerm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        n = self.degree
-        moved = [0] * n
-        for i in range(1, n + 1):
-            moved[self.perm(i) - 1] = other.signs[i - 1]
-        signs = tuple(self.signs[j] * moved[j] for j in range(n))
-        return SignedPerm(signs, self.perm * other.perm)
-
-    def inverse(self) -> "SignedPerm":
-        inv = self.perm.inverse()
-        signs = tuple(self.signs[self.perm(i) - 1] for i in range(1, self.degree + 1))
-        return SignedPerm(signs, inv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedPerm)
-            and self.signs == other.signs
-            and self.perm == other.perm
-        )
-
-    def __hash__(self):
-        return hash(("SignedPerm", self.signs, self.perm.images))
-
-    def __repr__(self):
-        return f"SignedPerm({self.signs}, {self.perm!r})"
-
-
 def cycle_type(x: Perm) -> Partition:
     """Multiset of cycle lengths, as a weakly decreasing tuple."""
     return tuple(sorted((len(c) for c in x.cycles()), reverse=True))
 
 
-def signed_cycle_monomial(x: SignedPerm):
-    """Wreath cycle-map key of a signed permutation: one (length, class)
-    factor per cycle, the class given by the product of signs along it."""
+def signed_perm(signs, perm: Perm) -> Perm:
+    """The element of S_2 wr S_n sending e*i to e*signs[perm(i)]*perm(i),
+    e = +-1.  Products follow ``(s, x) * (t, y) = (s . x(t), x y)``, where
+    ``x(t)`` moves the sign at position i to position x(i)."""
+    signs = tuple(signs)
+    if any(s not in (1, -1) for s in signs):
+        raise ValueError(f"signs must be +1/-1, got {signs!r}")
+    n = perm.degree
+    if len(signs) != n:
+        raise ValueError("sign vector and permutation degree mismatch")
+    plus = [j if signs[j - 1] == 1 else j + n for j in perm.images]
+    return Perm(plus + [j + n if j <= n else j - n for j in plus])
+
+
+def signed_cycle_monomial(x: Perm):
+    """Wreath cycle-map key of an element of S_2 wr S_n.  A cycle and its
+    negative count once, through +m for the least index m they meet: a
+    self-negative cycle gives (len/2, "t") (Q_k), any other (len, "e") (P_k);
+    Macdonald, Symmetric Functions and Hall Polynomials, App. I.B."""
+    n, odd = divmod(x.degree, 2)
+    flip = Perm(tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1)))
+    if odd or x * flip != flip * x:
+        raise ValueError(f"{x!r} is not in S_2 wr S_n: it must commute with i <-> i + n")
     key = []
-    for cyc in x.perm.cycles():
-        sign = 1
-        for i in cyc:
-            sign *= x.signs[i - 1]
-        key.append((len(cyc), E_CLASS if sign == 1 else T_CLASS))
+    for cyc in x.cycles():
+        m = min(j - n if j > n else j for j in cyc)
+        if m in cyc:
+            key.append((len(cyc) // 2, T_CLASS) if m + n in cyc else (len(cyc), E_CLASS))
     return tuple(sorted(key))
 
 
@@ -181,12 +143,7 @@ def closure(generators, cap: int = 10000) -> list:
     first = gens[0]
     if any(g.degree != first.degree for g in gens):
         raise ValueError("generators must share one degree")
-    if isinstance(first, Perm):
-        ident = Perm.identity(first.degree)
-    elif isinstance(first, SignedPerm):
-        ident = SignedPerm.identity(first.degree)
-    else:
-        raise TypeError(f"unsupported element type {type(first).__name__}")
+    ident = Perm.identity(first.degree)
     seen = {ident: None}
     frontier = [ident]
     while frontier:
@@ -216,8 +173,8 @@ def dihedral_in_sym(n: int) -> list:
 def hyperoct_dihedral(n: int) -> list:
     """The dihedral subgroup of the hyperoctahedral group: the plain long
     cycle plus the reversal with every sign flipped."""
-    rot = SignedPerm((1,) * n, Perm.long_cycle(n))
-    refl = SignedPerm((-1,) * n, Perm.reversal(n))
+    rot = signed_perm((1,) * n, Perm.long_cycle(n))
+    refl = signed_perm((-1,) * n, Perm.reversal(n))
     return closure([rot, refl])
 
 
@@ -227,7 +184,7 @@ def _averaged_char(elements, truncation: int, monomial, cls):
     if not elements:
         raise ValueError("subgroup must be nonempty")
     counts = Counter(monomial(h) for h in elements)
-    n = elements[0].degree
+    n = cls._key_degree(next(iter(counts)))
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
     order = len(elements)

@@ -19,10 +19,10 @@ from plethys.graphoracle import (
 )
 from plethys.groups import (
     Perm,
-    SignedPerm,
     closure,
     ind_trivial_char,
     ind_trivial_char_wreath,
+    signed_perm,
 )
 from plethys.series import ModuleSpec, a_series, necklace_series_direct, second_leg_series
 from plethys.symfunc import (
@@ -245,4 +245,4 @@ def _random_perm(rng, n):
 
 
 def _random_signed(rng, n):
-    return SignedPerm(tuple(rng.choice((1, -1)) for _ in range(n)), _random_perm(rng, n))
+    return signed_perm(tuple(rng.choice((1, -1)) for _ in range(n)), _random_perm(rng, n))

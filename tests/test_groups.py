@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +7,6 @@ import pytest
 
 from plethys.groups import (
     Perm,
-    SignedPerm,
     closure,
     cycle_type,
     cyclic_subgroup,
@@ -14,9 +15,10 @@ from plethys.groups import (
     ind_trivial_char,
     ind_trivial_char_wreath,
     signed_cycle_monomial,
+    signed_perm,
 )
 from plethys.symfunc import SymFunc, euler_phi, h_gen, partitions_of
-from plethys.wreath import WreathSymFunc
+from plethys.wreath import E_CLASS, T_CLASS, WreathSymFunc
 
 
 def random_perm(rng, n):
@@ -25,9 +27,23 @@ def random_perm(rng, n):
     return Perm(images)
 
 
+def random_signs(rng, n):
+    return tuple(rng.choice((1, -1)) for _ in range(n))
+
+
 def random_signed_perm(rng, n):
-    signs = tuple(rng.choice((1, -1)) for _ in range(n))
-    return SignedPerm(signs, random_perm(rng, n))
+    return signed_perm(random_signs(rng, n), random_perm(rng, n))
+
+
+def sign_product_monomial(signs, perm):
+    """Reference wreath cycle-map key of (signs, perm): one (length, class)
+    factor per cycle of perm, the class given by the product of signs
+    along it."""
+    key = []
+    for cyc in perm.cycles():
+        sign = math.prod(signs[i - 1] for i in cyc)
+        key.append((len(cyc), E_CLASS if sign == 1 else T_CLASS))
+    return tuple(sorted(key))
 
 
 def test_perm_basics():
@@ -58,25 +74,82 @@ def test_cycle_map_sym_examples():
         ind_trivial_char([Perm.identity(4)], 3)
 
 
-def test_signed_perm_group_laws():
+def test_constructors_reject_nonpositive_n():
+    for n in (0, -2):
+        for build in (Perm.long_cycle, cyclic_subgroup, dihedral_in_sym, hyperoct_dihedral):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                build(n)
+
+
+def test_signed_perm_is_a_homomorphism():
+    # the semidirect-product rule (s, x) * (t, y) = (s . x(t), x y), where
+    # x(t) moves the sign at position i to position x(i)
     rng = random.Random(41)
-    for _ in range(60):
+    for _ in range(200):
         n = rng.randint(1, 6)
-        a, b, c = (random_signed_perm(rng, n) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        e = SignedPerm.identity(n)
-        assert a * e == a and e * a == a
-        assert a * a.inverse() == e and a.inverse() * a == e
+        s, t = random_signs(rng, n), random_signs(rng, n)
+        x, y = random_perm(rng, n), random_perm(rng, n)
+        moved = [0] * n
+        for i in range(1, n + 1):
+            moved[x(i) - 1] = t[i - 1]
+        st = tuple(a * b for a, b in zip(s, moved))
+        assert signed_perm(s, x) * signed_perm(t, y) == signed_perm(st, x * y)
+
+
+def test_signed_perm_rejects_bad_input():
+    with pytest.raises(ValueError):
+        signed_perm((1, 0), Perm.identity(2))
+    with pytest.raises(ValueError):
+        signed_perm((1,), Perm.identity(2))
+
+
+def test_signed_cycle_monomial_matches_sign_products():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        signs, perm = random_signs(rng, n), random_perm(rng, n)
+        assert signed_cycle_monomial(signed_perm(signs, perm)) == sign_product_monomial(signs, perm)
+
+
+def test_signed_cycle_monomial_rejects_non_signed():
+    for x in (Perm((2, 1, 3, 4)), Perm((2, 3, 1)), Perm((1, 3, 2, 4))):
+        with pytest.raises(ValueError):
+            signed_cycle_monomial(x)
+        with pytest.raises(ValueError):
+            ind_trivial_char_wreath([x], 6)
+
+
+def test_signed_closure_is_flip_centralizer():
+    # a sign change, a transposition and the long cycle generate the whole
+    # hyperoctahedral group: the permutations of 2n points commuting with
+    # the flip i <-> i + n, of order 2^n n!
+    for n in range(1, 4):
+        plus = (1,) * n
+        gens = [
+            signed_perm((-1,) + plus[1:], Perm.identity(n)),
+            signed_perm(plus, Perm.long_cycle(n)),
+        ]
+        if n >= 2:
+            gens.append(signed_perm(plus, Perm((2, 1) + tuple(range(3, n + 1)))))
+        flip = Perm(tuple(range(n + 1, 2 * n + 1)) + tuple(range(1, n + 1)))
+        centralizer = {
+            x
+            for x in map(Perm, itertools.permutations(range(1, 2 * n + 1)))
+            if x * flip == flip * x
+        }
+        group = closure(gens)
+        assert len(group) == 2**n * math.factorial(n)
+        assert set(group) == centralizer
 
 
 def test_wreath_cycle_map_examples():
     # the average over {x} is the wreath cycle-map monomial of x
     N = 6
-    x = SignedPerm((1, 1), Perm((2, 1)))
+    x = signed_perm((1, 1), Perm((2, 1)))
     assert ind_trivial_char_wreath([x], N) == WreathSymFunc(N, {((2, "e"),): 1})
-    y = SignedPerm((-1, 1), Perm.identity(2))
+    y = signed_perm((-1, 1), Perm.identity(2))
     assert ind_trivial_char_wreath([y], N) == WreathSymFunc(N, {((1, "e"), (1, "t")): 1})
-    z = SignedPerm((-1, -1), Perm((2, 1)))
+    z = signed_perm((-1, -1), Perm((2, 1)))
     assert ind_trivial_char_wreath([z], N) == WreathSymFunc(N, {((2, "e"),): 1})
 
 
@@ -85,8 +158,8 @@ def test_closure_basics():
     for n in range(1, 8):
         assert len(closure([Perm.long_cycle(n)])) == n
     gens = [
-        SignedPerm((1, 1, 1), Perm((2, 3, 1))),
-        SignedPerm((-1, -1, -1), Perm((3, 2, 1))),
+        signed_perm((1, 1, 1), Perm((2, 3, 1))),
+        signed_perm((-1, -1, -1), Perm((3, 2, 1))),
     ]
     assert len(closure(gens)) == 6
 
@@ -115,7 +188,7 @@ def test_subgroup_orders():
     for n in range(3, 9):
         assert len(dihedral_in_sym(n)) == 2 * n
     assert len(hyperoct_dihedral(1)) == 2
-    assert SignedPerm((-1,), Perm.identity(1)) in set(hyperoct_dihedral(1))
+    assert signed_perm((-1,), Perm.identity(1)) in set(hyperoct_dihedral(1))
     for n in range(2, 9):
         assert len(hyperoct_dihedral(n)) == 2 * n
 
@@ -161,7 +234,7 @@ def test_ind_trivial_char_wreath_examples():
     assert ind_trivial_char_wreath(hyperoct_dihedral(1), N) == WreathSymFunc(
         N, {((1, "e"),): Fraction(1, 2), ((1, "t"),): Fraction(1, 2)}
     )
-    assert ind_trivial_char_wreath([SignedPerm.identity(1)], N) == WreathSymFunc(
+    assert ind_trivial_char_wreath([signed_perm((1,), Perm.identity(1))], N) == WreathSymFunc(
         N, {((1, "e"),): 1}
     )
 

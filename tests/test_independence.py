@@ -4,21 +4,34 @@
 series layer and ring arithmetic from ``symfunc``, but none of the
 operations that build the closed series: no plethysm, no Adams operation,
 no complete or power-sum generating series, nothing from ``wreath`` and
-nothing else from ``series``.  In the other direction, the closed-form
-layers ``symfunc``, ``wreath`` and ``series`` import nothing from the
-group averages, the censuses, the suites or the command line.  The checks
-read the modules' import statements, so they hold however the names are
-used.
+nothing else from ``series``.  ``groups``, the side of the ``bb`` and
+``generating`` averages, takes only the ring types and class tags:
+``Partition`` and ``SymFunc`` from ``symfunc``, ``E_CLASS``, ``T_CLASS``
+and ``WreathSymFunc`` from ``wreath``.  In the other direction, the
+closed-form layers ``symfunc``, ``wreath`` and ``series`` import nothing
+from the group averages, the censuses, the suites or the command line.
+The checks read the modules' import statements, so they hold however the
+names are used.
 """
 
 import ast
+import pkgutil
 
 import pytest
 
-from plethys import graphoracle, series, symfunc, wreath
+import plethys
+from plethys import graphoracle, groups, series, symfunc, wreath
 
 FORBIDDEN_NAMES = {"h_lambda", "h_gen", "plethysm", "adams", "log_inv", "geom", "partial_p"}
 SERIES_ALLOWED = {"ModuleSpec"}
+GROUPS_ALLOWED = {
+    ("symfunc", "Partition"),
+    ("symfunc", "SymFunc"),
+    ("wreath", "E_CLASS"),
+    ("wreath", "T_CLASS"),
+    ("wreath", "WreathSymFunc"),
+}
+PACKAGE_MODULES = {m.name for m in pkgutil.iter_modules(plethys.__path__)} | {"plethys"}
 
 
 def _imports(source):
@@ -93,3 +106,32 @@ def test_violations_are_found():
         ("series", "b1_series")
     ]
     assert violations("from .series import ModuleSpec\nfrom .groups import Perm\n") == []
+
+
+def groups_violations(source):
+    """The package imports of ``groups`` outside ``GROUPS_ALLOWED``."""
+    return [
+        (module, name)
+        for module, name in _imports(source)
+        if module.split(".")[0] in PACKAGE_MODULES and (module, name) not in GROUPS_ALLOWED
+    ]
+
+
+def test_groups_imports_only_ring_types():
+    assert groups_violations(_source(groups)) == []
+
+
+def test_groups_violations_are_found():
+    assert groups_violations("from .wreath import dih_char_closed\n") == [
+        ("wreath", "dih_char_closed")
+    ]
+    assert groups_violations("from .symfunc import SymFunc, h_gen\n") == [("symfunc", "h_gen")]
+    assert groups_violations("from . import wreath\n") == [("wreath", None)]
+    assert groups_violations("import plethys\n") == [("plethys", None)]
+    assert groups_violations("from plethys.series import ModuleSpec\n") == [
+        ("series", "ModuleSpec")
+    ]
+    assert groups_violations(
+        "from collections import Counter\nfrom .symfunc import Partition, SymFunc\n"
+        "from .wreath import E_CLASS, T_CLASS, WreathSymFunc\n"
+    ) == []
