@@ -20,7 +20,6 @@ from .wreath import (
     WreathSymFunc,
     dih_char_closed,
     dih_series_closed,
-    plethysm_deg1,
     specialize_s2,
 )
 from .groups import (
@@ -42,7 +41,6 @@ from .series import (
     b1_series,
     cyclic_necklace_series,
     necklace_series,
-    necklace_series_direct,
     tree_fixed_point,
 )
 from .graphoracle import (

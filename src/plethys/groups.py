@@ -18,6 +18,11 @@ from .symfunc import Partition, SymFunc
 from .wreath import E_CLASS, T_CLASS, WreathSymFunc
 
 
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+
+
 class Perm:
     """A permutation of {1..n}, stored as the tuple of images of 1..n."""
 
@@ -35,18 +40,19 @@ class Perm:
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
+        _check_degree(n)
         return cls(range(1, n + 1))
 
     @classmethod
     def long_cycle(cls, n: int) -> "Perm":
         """The n-cycle sending 1 -> 2 -> ... -> n -> 1."""
-        if n < 1:
-            raise ValueError("n must be a positive integer")
+        _check_degree(n)
         return cls(tuple(range(2, n + 1)) + (1,))
 
     @classmethod
     def reversal(cls, n: int) -> "Perm":
         """The involution i -> n + 1 - i."""
+        _check_degree(n)
         return cls(range(n, 0, -1))
 
     @property

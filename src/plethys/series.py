@@ -13,7 +13,9 @@ The genus-one series glues before it expands.  Plethysm by the tree series
 T is a ring homomorphism in its left argument that fixes rational constants
 and commutes with Adams operations; T starts at p_1, so it maps degree d
 to degrees >= d and commutes with truncation.  So the necklace series
-composed with T is exactly the necklace formula at a0'' o T and (da0/dp_2) o T.
+composed with T is exactly the necklace formula at a0'' o T and (da0/dp_2) o T,
+and so is ``specialize_s2(dih_series_closed(N), a0'' o T, (da0/dp_2) o T)``:
+the paper's route, which ``tests/test_series.py`` checks against ``b1_series``.
 """
 
 from __future__ import annotations
@@ -211,23 +213,19 @@ def _necklace_formula(core: SymFunc, adot: SymFunc) -> SymFunc:
     return rotations + refl * geom(psi2)
 
 
-def necklace_series_direct(a0: SymFunc) -> SymFunc:
-    """Sum over unordered necklaces of genus-0 vertices: the necklace
-    formula at core = a0'' and adot = da0/dp_2."""
-    _check_core_series(a0)
-    return _necklace_formula(second_leg_series(a0), partial_p(2, a0))
-
-
 def necklace_series(a0: SymFunc, method: str = "direct") -> SymFunc:
-    """Sum over unordered necklaces, by either of two routes that must
-    agree: the direct formula, or specializing the closed dihedral series
-    in wreath-product symmetric functions along a0."""
+    """Sum over unordered necklaces of genus-0 vertices, by either of two
+    routes that must agree: the necklace formula, or the closed dihedral
+    series in wreath-product symmetric functions specialized along the
+    same two inputs, core = a0'' and adot = da0/dp_2."""
+    if method not in ("direct", "wreath"):
+        raise ValueError(f"unknown method {method!r}")
+    _check_core_series(a0)
+    core = second_leg_series(a0)
+    adot = partial_p(2, a0)
     if method == "direct":
-        return necklace_series_direct(a0)
-    if method == "wreath":
-        _check_core_series(a0)
-        return specialize_s2(dih_series_closed(a0.truncation), a0)
-    raise ValueError(f"unknown method {method!r}")
+        return _necklace_formula(core, adot)
+    return specialize_s2(dih_series_closed(a0.truncation), core, adot)
 
 
 def tree_fixed_point(a0: SymFunc) -> SymFunc:

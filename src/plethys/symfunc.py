@@ -208,9 +208,6 @@ class _TruncatedSeries:
             {key: c for key, c in self._terms.items() if degree(key) == d},
         )
 
-    def is_homogeneous(self) -> bool:
-        return len(set(map(self._key_degree, self._terms))) <= 1
-
     def truncated(self, new_truncation: int):
         """The same value carried at a lower truncation (terms above it
         are dropped).  Raising the truncation is refused: the discarded

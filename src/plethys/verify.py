@@ -31,8 +31,8 @@ from .series import (
     second_leg_series,
     working_truncation,
 )
-from .symfunc import SymFunc, h_gen, h_lambda, plethysm
-from .wreath import dih_char_closed, dih_series_closed, plethysm_deg1
+from .symfunc import SymFunc, d_operator, h_gen, h_lambda, plethysm
+from .wreath import dih_char_closed, dih_series_closed
 
 
 class SuiteResult(namedtuple("SuiteResult", "suite passed detail", defaults=("",))):
@@ -136,7 +136,7 @@ def run_deg1(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult
     ]
     for glam, g in cases_g:
         for fname, f, oracle in cases_f:
-            lhs = plethysm_deg1(f, g)
+            lhs = d_operator(f, g)
             rhs = oracle(glam)
             if lhs != rhs:
                 return SuiteResult(

@@ -9,8 +9,9 @@ place of partitions; ring operations, rendering and the JSON form are the
 core's.
 
 ``specialize_s2`` carries these functions onto ordinary symmetric
-functions: P_k acts as the k-th Adams operation of the second p_1
-derivative, Q_k as twice the k-th Adams operation of the p_2 derivative.
+functions along two given series: P_k acts as the k-th Adams operation of
+``core``, Q_k as twice the k-th Adams operation of ``adot``.  ``series``
+supplies a0'' and da0/dp_2, or their compositions with the tree series.
 The extension to products is multiplicative; end-to-end correctness of
 that convention is pinned by the graph-census tests rather than argued
 here.
@@ -26,11 +27,9 @@ from .symfunc import (
     _TruncatedSeries,
     _substitute,
     adams,
-    d_operator,
     euler_phi,
     geom,
     log_inv,
-    partial_p,
 )
 
 E_CLASS = "e"
@@ -149,31 +148,21 @@ def dih_series_closed(truncation: int) -> WreathSymFunc:
     return out + refl * geom(p2)
 
 
-def specialize_s2(w: WreathSymFunc, f: SymFunc) -> SymFunc:
+def specialize_s2(w: WreathSymFunc, core: SymFunc, adot: SymFunc) -> SymFunc:
     """Carry a wreath-product symmetric function onto ordinary symmetric
-    functions along the degree-two restriction of f:
+    functions by the substitution
 
-        P_k -> adams(k, d^2 f / dp_1^2)
-        Q_k -> 2 * adams(k, d f / dp_2)
+        P_k -> adams(k, core)
+        Q_k -> 2 * adams(k, adot)
 
     extended linearly and multiplicatively over monomials.
     """
-    if w.truncation != f.truncation:
-        raise ValueError(f"truncation mismatch: {w.truncation} vs {f.truncation}")
-    fpp = partial_p(1, partial_p(1, f))
-    fdot = partial_p(2, f)
+    for f in (core, adot):
+        if w.truncation != f.truncation:
+            raise ValueError(f"truncation mismatch: {w.truncation} vs {f.truncation}")
 
     def image(factor) -> SymFunc:
         k, tag = factor
-        return adams(k, fpp) if tag == E_CLASS else adams(k, fdot) * 2
+        return adams(k, core) if tag == E_CLASS else adams(k, adot) * 2
 
-    return _substitute(w._terms.items(), image, f.truncation)
-
-
-def plethysm_deg1(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Pairing of a homogeneous degree-k symmetric function against the
-    k-fold marked restriction of g; computed as the differential operator
-    action ``d_operator(f, g)``."""
-    if not f.is_homogeneous():
-        raise ValueError("left argument must be homogeneous")
-    return d_operator(f, g)
+    return _substitute(w._terms.items(), image, w.truncation)

@@ -17,8 +17,7 @@ from plethys.graphoracle import (
     relabel_legs,
 )
 from plethys.series import ModuleSpec
-from plethys.symfunc import SymFunc, h_gen, h_lambda
-from plethys.wreath import plethysm_deg1
+from plethys.symfunc import SymFunc, d_operator, h_gen, h_lambda
 
 from burnside_reference import char_of_census
 from graph_helpers import (
@@ -429,10 +428,10 @@ def test_hom_char_against_operator():
         g = h_lambda(glam, N)
         trivial = hom_char("trivial", glam, N)
         regular = hom_char("regular", glam, N)
-        assert plethysm_deg1(h_gen(2, N), g) == trivial
+        assert d_operator(h_gen(2, N), g) == trivial
         p1 = SymFunc.p(1, N)
-        assert plethysm_deg1(p1 * p1, g) == regular
-        assert plethysm_deg1(SymFunc.p(2, N), g) == trivial * 2 - regular
+        assert d_operator(p1 * p1, g) == regular
+        assert d_operator(SymFunc.p(2, N), g) == trivial * 2 - regular
     with pytest.raises(ValueError):
         hom_char("bogus", (4,), N)
     with pytest.raises(ValueError):

@@ -76,9 +76,19 @@ def test_cycle_map_sym_examples():
 
 def test_constructors_reject_nonpositive_n():
     for n in (0, -2):
-        for build in (Perm.long_cycle, cyclic_subgroup, dihedral_in_sym, hyperoct_dihedral):
+        for build in (
+            Perm.identity,
+            Perm.long_cycle,
+            Perm.reversal,
+            cyclic_subgroup,
+            dihedral_in_sym,
+            hyperoct_dihedral,
+        ):
             with pytest.raises(ValueError, match="n must be a positive integer"):
                 build(n)
+    # a degree-0 identity would average to the constant 1
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        ind_trivial_char([Perm.identity(-1)], 3)
 
 
 def test_signed_perm_is_a_homomorphism():

@@ -5,8 +5,10 @@ on each of them with random values: ring laws with ``zero`` and ``one`` as
 identities, powers, the geometric and log series, the JSON round trip, and
 that values of the two algebras never mix.  The operations beyond the ring
 have their laws too: plethysm is a ring homomorphism in its left argument,
-``partial_p`` obeys the Leibniz rule and ``specialize_s2`` is
-multiplicative, and the rooted-tree series solves f = p_1 + a0' o f.  Plethysm associativity and the composition of Adams
+``partial_p`` obeys the Leibniz rule, ``specialize_s2`` is
+multiplicative and takes the closed dihedral series to the necklace
+formula at any two inputs, and the rooted-tree series solves
+f = p_1 + a0' o f.  Plethysm associativity and the composition of Adams
 operations are acceptance criteria 8a and 8b in ``test_acceptance.py``.
 """
 
@@ -16,9 +18,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plethys.series import ModuleSpec, a_series, tree_fixed_point
+from plethys.series import ModuleSpec, _necklace_formula, a_series, tree_fixed_point
 from plethys.symfunc import SymFunc, geom, log_inv, partial_p, partitions_of, plethysm
-from plethys.wreath import E_CLASS, T_CLASS, WreathSymFunc, specialize_s2
+from plethys.wreath import E_CLASS, T_CLASS, WreathSymFunc, dih_series_closed, specialize_s2
 
 ALGEBRAS = (SymFunc, WreathSymFunc)
 
@@ -51,6 +53,11 @@ def values(draw, cls, count, min_degree=0):
 def value_at(data, cls, N, min_degree=0):
     """One more value of cls at truncation N."""
     return cls(N, data.draw(st.dictionaries(keys(cls, N, min_degree), coefficients, max_size=4)))
+
+
+def legs(f):
+    """The two specialization inputs of f: f'' in p_1 and df/dp_2."""
+    return partial_p(1, partial_p(1, f)), partial_p(2, f)
 
 
 def exp_series(f):
@@ -174,8 +181,20 @@ def test_specialize_s2_is_multiplicative(data):
     # f from degree 3 up sends a wreath monomial of degree d to terms of
     # degree >= d, so the truncation of w1 * w2 loses nothing it would keep
     f = value_at(data, SymFunc, N, min_degree=3)
-    assert specialize_s2(w1 * w2, f) == specialize_s2(w1, f) * specialize_s2(w2, f)
-    assert specialize_s2(WreathSymFunc.one(N), f) == SymFunc.one(N)
+    f = legs(f)
+    assert specialize_s2(w1 * w2, *f) == specialize_s2(w1, *f) * specialize_s2(w2, *f)
+    assert specialize_s2(WreathSymFunc.one(N), *f) == SymFunc.one(N)
+
+
+@LAWS
+@given(data=st.data())
+def test_specialize_s2_dihedral_series_is_necklace_formula(data):
+    # the two necklace routes agree as an identity in their two inputs,
+    # not only at core = a0'' and adot = da0/dp_2
+    N = data.draw(st.integers(1, 6))
+    core = value_at(data, SymFunc, N, min_degree=1)
+    adot = value_at(data, SymFunc, N, min_degree=1)
+    assert specialize_s2(dih_series_closed(N), core, adot) == _necklace_formula(core, adot)
 
 
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from plethys.series import ModuleSpec, a_series
-from plethys.symfunc import SymFunc, _substitute, adams, partial_p, plethysm
+from plethys.symfunc import SymFunc, _substitute, adams, plethysm
 from plethys.wreath import E_CLASS, WreathSymFunc, dih_series_closed, specialize_s2
-from test_properties import LAWS, value_at, values
+from test_properties import LAWS, legs, value_at, values
 
 # -- reference, not used by the program ---------------------------------------
 
@@ -75,17 +75,25 @@ def plethysm_ref(f, g):
     return SymFunc(N, substitute_ref(f.terms(), lambda part: adams_ref(part, gterms, N), N))
 
 
-def specialize_s2_ref(w, f):
-    N = f.truncation
+def legs_ref(f):
+    """f'' in p_1 and df/dp_2, the specialization inputs of f."""
     fterms = dict(f.terms())
-    fpp = partial_ref(1, partial_ref(1, fterms))
-    fdot = partial_ref(2, fterms)
+    N = f.truncation
+    return (
+        SymFunc(N, partial_ref(1, partial_ref(1, fterms))),
+        SymFunc(N, partial_ref(2, fterms)),
+    )
+
+
+def specialize_s2_ref(w, core, adot):
+    N = w.truncation
+    core, adot = dict(core.terms()), dict(adot.terms())
 
     def image(factor):
         k, tag = factor
         if tag == E_CLASS:
-            return adams_ref(k, fpp, N)
-        return {lam: 2 * c for lam, c in adams_ref(k, fdot, N).items()}
+            return adams_ref(k, core, N)
+        return {lam: 2 * c for lam, c in adams_ref(k, adot, N).items()}
 
     return SymFunc(N, substitute_ref(w.terms(), image, N))
 
@@ -123,20 +131,20 @@ def test_specialize_s2_matches_term_by_term(data):
     w = value_at(data, WreathSymFunc, N)
     # terms of degree 3 and up survive both derivatives
     f = value_at(data, SymFunc, N, min_degree=3)
-    assert specialize_s2(w, f) == specialize_s2_ref(w, f)
+    assert specialize_s2(w, *legs(f)) == specialize_s2_ref(w, *legs_ref(f))
 
 
 def test_specialize_s2_matches_on_the_dihedral_series():
     N = 12
     w = dih_series_closed(N)
     a0 = a_series(ModuleSpec.standard(), 0, N)
-    assert specialize_s2(w, a0) == specialize_s2_ref(w, a0)
+    assert specialize_s2(w, *legs(a0)) == specialize_s2_ref(w, *legs_ref(a0))
     # lowest genus-0 arity 5: the image of P_k or Q_k has valuation 3k, so
     # every wreath monomial of degree 5 and up is skipped and those of
     # degree 4 land exactly on the truncation
     a0 = a_series(ModuleSpec(genus0={5: [(5,)], 6: [(3, 3)], 7: [(4, 2, 1)]}), 0, N)
-    assert partial_p(1, partial_p(1, a0)).valuation() == partial_p(2, a0).valuation() == 3
-    assert specialize_s2(w, a0) == specialize_s2_ref(w, a0)
+    assert [f.valuation() for f in legs(a0)] == [3, 3]
+    assert specialize_s2(w, *legs(a0)) == specialize_s2_ref(w, *legs_ref(a0))
 
 
 def test_plethysm_skips_exactly_the_zero_products():

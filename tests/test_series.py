@@ -14,13 +14,14 @@ from plethys.series import (
     b1_series,
     cyclic_necklace_series,
     necklace_series,
-    necklace_series_direct,
     second_leg_series,
     tree_fixed_point,
     working_truncation,
 )
+from plethys import dih_series_closed, partial_p, specialize_s2
 from plethys.symfunc import SymFunc, adams, geom, h_gen, h_lambda, plethysm
 from plethys.verify import cyclic_subgroup_average
+from plethys.wreath import WreathSymFunc
 
 
 def test_module_spec_validation():
@@ -136,7 +137,7 @@ def test_necklace_series_zero_and_paths():
 
 def test_necklace_series_quarter_term_matters():
     a0 = a_series(ModuleSpec.standard(), 0, 6)
-    full = necklace_series_direct(a0)
+    full = necklace_series(a0)
     # drop the through-edge reflection term (1/4) psi2 / (1 - psi2)
     psi2 = adams(2, second_leg_series(a0))
     dropped = full - psi2 * geom(psi2) * Fraction(1, 4)
@@ -235,3 +236,42 @@ def test_b1_series_glues_necklace_inputs(name):
 def test_b1_series_glues_necklace_inputs_on_young_modules(module):
     spec, N = module
     assert b1_series(spec, N) == _b1_before_gluing(spec, N)
+
+
+def _b1_paper_route(spec, truncation, dihedral=dih_series_closed):
+    """The paper's route for the genus-one series, from public names: a1 o T
+    plus the dihedral series specialized along a0'' o T and (da0/dp_2) o T."""
+    working = working_truncation(spec, truncation)
+    a0 = a_series(spec, 0, working)
+    a1 = a_series(spec, 1, working)
+    tree = tree_fixed_point(a0)
+    core = plethysm(partial_p(1, partial_p(1, a0)), tree)
+    adot = plethysm(partial_p(2, a0), tree)
+    route = plethysm(a1, tree) + specialize_s2(dihedral(working), core, adot)
+    return route.truncated(truncation)
+
+
+PAPER_ROUTE_CASES = {
+    "standard-12": (STD, 12),
+    "young-heavy-8": (
+        ModuleSpec(
+            genus0={3: [(2, 1)], 4: [(3, 1), (2, 2)], 5: [(5,)]},
+            genus1={1: [(1,)], 2: [(1, 1)], 3: [(2, 1)]},
+        ),
+        8,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PAPER_ROUTE_CASES)
+def test_b1_series_is_the_paper_route(name):
+    spec, N = PAPER_ROUTE_CASES[name]
+    assert _b1_paper_route(spec, N) == b1_series(spec, N)
+
+
+def test_paper_route_negative_control():
+    # an extra (1/2) Q_1 in the dihedral series must show in the output
+    def perturbed(W):
+        return dih_series_closed(W) + WreathSymFunc.gen_q(1, W) * Fraction(1, 2)
+
+    assert _b1_paper_route(STD, 6, perturbed) != b1_series(STD, 6)

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from plethys.groups import hyperoct_dihedral, ind_trivial_char_wreath
-from plethys.symfunc import SymFunc, adams, geom, h_gen, log_inv, partial_p, partitions_of
+from plethys.symfunc import SymFunc, adams, d_operator, geom, h_gen, log_inv, partitions_of
 from plethys.wreath import (
     WreathSymFunc,
     dih_char_closed,
     dih_series_closed,
-    plethysm_deg1,
     specialize_s2,
 )
+from test_properties import legs
 
 P = WreathSymFunc.gen_p
 Q = WreathSymFunc.gen_q
@@ -96,12 +96,20 @@ def test_log_inv_geom_on_wreath():
 def test_specialize_s2_generators():
     N = 6
     rng = random.Random(9)
-    f = random_symfunc(rng, N, min_degree=3)
-    fpp = partial_p(1, partial_p(1, f))
-    fdot = partial_p(2, f)
-    assert specialize_s2(P(1, N), f) == fpp
-    assert specialize_s2(Q(1, N), f) == fdot * 2
-    assert specialize_s2(Q(1, N) * P(2, N), f) == (fdot * 2) * adams(2, fpp)
+    fpp, fdot = legs(random_symfunc(rng, N, min_degree=3))
+    assert specialize_s2(P(1, N), fpp, fdot) == fpp
+    assert specialize_s2(Q(1, N), fpp, fdot) == fdot * 2
+    assert specialize_s2(Q(1, N) * P(2, N), fpp, fdot) == (fdot * 2) * adams(2, fpp)
+
+
+def test_specialize_s2_truncation_mismatch():
+    fpp, fdot = legs(h_gen(3, 4) + h_gen(4, 4))
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        specialize_s2(P(1, 4), fpp, fdot.truncated(3))
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        specialize_s2(P(1, 4), fpp.truncated(3), fdot)
+    with pytest.raises(ValueError, match="truncation mismatch"):
+        specialize_s2(P(1, 3), fpp, fdot)
 
 
 def test_specialize_s2_multiplicative_and_linear():
@@ -110,19 +118,19 @@ def test_specialize_s2_multiplicative_and_linear():
         N = rng.randint(3, 6)
         a = random_wreath(rng, N)
         b = random_wreath(rng, N)
-        f = random_symfunc(rng, N, min_degree=3)
-        assert specialize_s2(a * b, f) == specialize_s2(a, f) * specialize_s2(b, f)
-        assert specialize_s2(a + b, f) == specialize_s2(a, f) + specialize_s2(b, f)
+        f = legs(random_symfunc(rng, N, min_degree=3))
+        assert specialize_s2(a * b, *f) == specialize_s2(a, *f) * specialize_s2(b, *f)
+        assert specialize_s2(a + b, *f) == specialize_s2(a, *f) + specialize_s2(b, *f)
 
 
 def test_specialize_s2_adams_compatibility():
     rng = random.Random(19)
     for _ in range(15):
         N = rng.randint(3, 6)
-        f = random_symfunc(rng, N, min_degree=3)
+        f = legs(random_symfunc(rng, N, min_degree=3))
         for n in range(1, N + 1):
-            assert specialize_s2(P(n, N), f) == adams(n, specialize_s2(P(1, N), f))
-            assert specialize_s2(Q(n, N), f) == adams(n, specialize_s2(Q(1, N), f) * Fraction(1, 2)) * 2
+            assert specialize_s2(P(n, N), *f) == adams(n, specialize_s2(P(1, N), *f))
+            assert specialize_s2(Q(n, N), *f) == adams(n, specialize_s2(Q(1, N), *f) * Fraction(1, 2)) * 2
 
 
 def test_deg1_iso():
@@ -133,22 +141,10 @@ def test_deg1_iso():
     assert SymFunc(N, {(1,): Fraction(1)}) == SymFunc.p(1, N)
 
 
-def test_plethysm_deg1_anchors():
-    N = 6
-    rng = random.Random(21)
-    g = random_symfunc(rng, N, min_degree=1)
-    p1 = SymFunc.p(1, N)
-    p2 = SymFunc.p(2, N)
-    assert plethysm_deg1(p1 * p1, g) == partial_p(1, partial_p(1, g))
-    assert plethysm_deg1(p2, g) == partial_p(2, g) * 2
-
-
 def test_plethysm_deg1_h2_h4():
     N = 6
-    got = plethysm_deg1(h_gen(2, N), h_gen(4, N))
+    got = d_operator(h_gen(2, N), h_gen(4, N))
     assert got == h_gen(2, N)
-    with pytest.raises(ValueError):
-        plethysm_deg1(SymFunc.p(1, N) + SymFunc.p(2, N), h_gen(4, N))
 
 
 def test_json_roundtrip_and_canonical_key_order():
