@@ -18,7 +18,6 @@ from .symfunc import (
 )
 from .wreath import (
     WreathSymFunc,
-    dih_char_closed,
     dih_series_closed,
     specialize_s2,
 )

@@ -68,12 +68,6 @@ class Perm:
             raise ValueError("degree mismatch")
         return Perm(self.images[j - 1] for j in other.images)
 
-    def inverse(self) -> "Perm":
-        images = [0] * self.degree
-        for i, j in enumerate(self.images, start=1):
-            images[j - 1] = i
-        return Perm(images)
-
     def cycles(self):
         """Cycles as tuples, each starting at its smallest point, in order."""
         seen = [False] * self.degree

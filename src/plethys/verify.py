@@ -2,10 +2,12 @@
 
 Each suite checks one closed-form identity against an independent
 computation (a group-element average, a graph census, or an orbit count)
-by exact degreewise comparison; a census suite enumerates degree by degree
-and stops at its first differing degree.  Every suite carries its own default
-degree, chosen so that ``run_all`` at defaults is exactly the acceptance
-workload; an explicit ``max_degree`` overrides it.
+by exact degreewise comparison.  A group-average or census suite compares
+its closed series, degree d at a time, with the average over the degree-d
+subgroup or the degree-d census, and stops at its first differing degree.
+Every suite carries its own default degree, chosen so that ``run_all`` at
+defaults is exactly the acceptance workload; an explicit ``max_degree``
+overrides it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .series import (
     working_truncation,
 )
 from .symfunc import SymFunc, d_operator, h_gen, h_lambda, plethysm
-from .wreath import dih_char_closed, dih_series_closed
+from .wreath import dih_series_closed
 
 
 class SuiteResult(namedtuple("SuiteResult", "suite passed detail", defaults=("",))):
@@ -87,39 +89,35 @@ def _diff_detail(diff):
     return f"first differing degree {d}: {mine} vs {theirs}"
 
 
-def cyclic_subgroup_average(truncation: int) -> SymFunc:
-    """The cyclically ordered corollas without the closed form: the sum over
-    n of the averages over the cyclic subgroup of S_n."""
-    out = SymFunc.zero(truncation)
-    for n in range(1, truncation + 1):
-        out = out + ind_trivial_char(cyclic_subgroup(n), truncation)
-    return out
+def _average_difference(series, subgroup, average, max_degree: int):
+    """``_first_difference`` of a closed series against the group averages
+    ``average(subgroup(d), N)``, the induced trivial character of the
+    degree-d subgroup; degree 0 is compared against zero, as in
+    ``_census_difference``."""
+    N = series.truncation
+    return _first_difference(
+        series, lambda d: average(subgroup(d), N) if d else series.zero(N), max_degree
+    )
 
 
 def run_bb(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     """Closed form of the cyclically-ordered corolla series against the
     averages over cyclic subgroups."""
-    averages = cyclic_subgroup_average(max_degree)
-    detail = _diff_detail(_first_difference(ass_series(max_degree), averages.degree_part, max_degree))
+    detail = _diff_detail(
+        _average_difference(ass_series(max_degree), cyclic_subgroup, ind_trivial_char, max_degree)
+    )
     return SuiteResult("bb", detail is None, detail or f"exact through degree {max_degree}")
 
 
 def run_generating(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
-    """Per-degree closed dihedral characters against hyperoctahedral
-    subgroup averages and against the closed generating series."""
-    series = dih_series_closed(max_degree)
-    for n in range(1, max_degree + 1):
-        closed = dih_char_closed(n, max_degree)
-        burnside = ind_trivial_char_wreath(hyperoct_dihedral(n), max_degree)
-        if closed != burnside:
-            return SuiteResult(
-                "generating", False, f"degree {n}: closed {closed} vs subgroup average {burnside}"
-            )
-        if series.degree_part(n) != closed:
-            return SuiteResult(
-                "generating", False, f"degree {n}: series part {series.degree_part(n)} vs {closed}"
-            )
-    return SuiteResult("generating", True, f"exact for all degrees <= {max_degree}")
+    """Closed generating series of the dihedral characters against the
+    averages over the dihedral subgroups of the hyperoctahedral groups."""
+    detail = _diff_detail(
+        _average_difference(
+            dih_series_closed(max_degree), hyperoct_dihedral, ind_trivial_char_wreath, max_degree
+        )
+    )
+    return SuiteResult("generating", detail is None, detail or f"exact for all degrees <= {max_degree}")
 
 
 def run_deg1(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:

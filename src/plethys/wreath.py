@@ -8,6 +8,9 @@ core of ``plethys.symfunc`` with these wreath monomials as its keys in
 place of partitions; ring operations, rendering and the JSON form are the
 core's.
 
+``dih_series_closed`` is the one closed form of the dihedral characters:
+its degree-n part is the character of the degree-n dihedral subgroup.
+
 ``specialize_s2`` carries these functions onto ordinary symmetric
 functions along two given series: P_k acts as the k-th Adams operation of
 ``core``, Q_k as twice the k-th Adams operation of ``adot``.  ``series``
@@ -100,42 +103,19 @@ class WreathSymFunc(_TruncatedSeries):
     to_json_obj = _TruncatedSeries.to_json_obj
 
 
-def dih_char_closed(n: int, truncation: int) -> WreathSymFunc:
-    """Closed form for the induced trivial character of the dihedral subgroup
-    of the degree-n hyperoctahedral group.
-
-    Rotations contribute (1/2n) sum_{d|n} phi(d) P_d^{n/d}.  Reflections all
-    carry the global sign flip: each fixed vertex of the underlying
-    reflection yields a Q_1 and each 2-cycle a P_2, giving
-    (1/2) Q_1 P_2^{(n-1)/2} for odd n and
-    (1/4) (Q_1^2 P_2^{n/2 - 1} + P_2^{n/2}) for even n.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > truncation:
-        raise ValueError(f"degree {n} exceeds truncation {truncation}")
-    # the constructor sorts each key and sums repeated ones: for even n the
-    # rotation term of d = 2 meets the reflection term P_2^{n/2}
-    terms = [
-        (((d, E_CLASS),) * (n // d), Fraction(euler_phi(d), 2 * n))
-        for d in range(1, n + 1)
-        if n % d == 0
-    ]
-    if n % 2:
-        terms.append((((1, T_CLASS),) + ((2, E_CLASS),) * ((n - 1) // 2), Fraction(1, 2)))
-    else:
-        terms.append((((1, T_CLASS),) * 2 + ((2, E_CLASS),) * (n // 2 - 1), Fraction(1, 4)))
-        terms.append((((2, E_CLASS),) * (n // 2), Fraction(1, 4)))
-    return WreathSymFunc(truncation, terms)
-
-
 def dih_series_closed(truncation: int) -> WreathSymFunc:
     """Generating series of all the dihedral characters in one closed form:
 
         (1/2) sum_{n>=1} (phi(n)/n) * (-log(1 - P_n))
         + (Q_1/2 * (1 + Q_1/2) + P_2/4) / (1 - P_2)
 
-    expanded and truncated.  Its degree-n part equals ``dih_char_closed(n)``.
+    expanded and truncated.  Its degree-n part is the induced trivial
+    character of the dihedral subgroup of the degree-n hyperoctahedral
+    group.  Rotations contribute (1/2n) sum_{d|n} phi(d) P_d^{n/d}.
+    Reflections all carry the global sign flip: each fixed vertex of the
+    underlying reflection yields a Q_1 and each 2-cycle a P_2, giving
+    (1/2) Q_1 P_2^{(n-1)/2} for odd n and
+    (1/4) (Q_1^2 P_2^{n/2 - 1} + P_2^{n/2}) for even n.
     """
     N = truncation
     out = WreathSymFunc.zero(N)

@@ -122,8 +122,8 @@ def test_groups_imports_only_ring_types():
 
 
 def test_groups_violations_are_found():
-    assert groups_violations("from .wreath import dih_char_closed\n") == [
-        ("wreath", "dih_char_closed")
+    assert groups_violations("from .wreath import dih_series_closed\n") == [
+        ("wreath", "dih_series_closed")
     ]
     assert groups_violations("from .symfunc import SymFunc, h_gen\n") == [("symfunc", "h_gen")]
     assert groups_violations("from . import wreath\n") == [("wreath", None)]

@@ -19,8 +19,8 @@ from plethys.series import (
     working_truncation,
 )
 from plethys import dih_series_closed, partial_p, specialize_s2
+from plethys.groups import cyclic_subgroup, ind_trivial_char
 from plethys.symfunc import SymFunc, adams, geom, h_gen, h_lambda, plethysm
-from plethys.verify import cyclic_subgroup_average
 from plethys.wreath import WreathSymFunc
 
 
@@ -105,7 +105,10 @@ def test_ass_series_degree_parts():
 def test_ass_series_two_paths_agree():
     # the closed form against the cyclic-subgroup averages of the bb suite
     for N in (6, 12):
-        assert ass_series(N) == cyclic_subgroup_average(N)
+        series = ass_series(N)
+        assert series.degree_part(0).is_zero()
+        for n in range(1, N + 1):
+            assert series.degree_part(n) == ind_trivial_char(cyclic_subgroup(n), N)
 
 
 def test_cyclic_necklace_series_examples():
@@ -145,6 +148,35 @@ def test_necklace_series_quarter_term_matters():
     # the two variants first differ in degree 2
     assert full.degree_part(1) == dropped.degree_part(1)
     assert full.degree_part(2) != dropped.degree_part(2)
+
+
+def _genus0_fed(build):
+    """A builder fed the genus-0 series at the working truncation."""
+    return lambda spec, N: build(a_series(spec, 0, working_truncation(spec, N)))
+
+
+TRUNCATION_BUILDERS = {
+    "ass_series": lambda spec, N: ass_series(N),
+    "dih_series_closed": lambda spec, N: dih_series_closed(N),
+    "cyclic_necklace_series": _genus0_fed(cyclic_necklace_series),
+    "necklace_series-direct": _genus0_fed(lambda a0: necklace_series(a0, "direct")),
+    "necklace_series-wreath": _genus0_fed(lambda a0: necklace_series(a0, "wreath")),
+    "tree_fixed_point": _genus0_fed(tree_fixed_point),
+    "b1_series": b1_series,
+}
+
+ARITY8 = ModuleSpec(
+    genus0={3: [(3,)], 4: [(4,), (2, 2)], 5: [(5,)], 6: [(6,)], 8: [(5, 3)]},
+    genus1={1: [(1,)], 2: [(2,)], 3: [(3,)], 4: [(4,)]},
+)
+
+
+@pytest.mark.parametrize("spec", [ModuleSpec.standard(), ARITY8], ids=["standard", "arity8"])
+@pytest.mark.parametrize("builder", TRUNCATION_BUILDERS)
+def test_series_do_not_depend_on_the_truncation(builder, spec):
+    # a series built for degree 9 and cut to 6 is the one built for 6
+    build = TRUNCATION_BUILDERS[builder]
+    assert build(spec, 9).truncated(6) == build(spec, 6).truncated(6)
 
 
 def test_tree_fixed_point_examples():

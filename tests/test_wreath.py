@@ -4,10 +4,18 @@ from fractions import Fraction
 import pytest
 
 from plethys.groups import hyperoct_dihedral, ind_trivial_char_wreath
-from plethys.symfunc import SymFunc, adams, d_operator, geom, h_gen, log_inv, partitions_of
+from plethys.symfunc import (
+    SymFunc,
+    adams,
+    d_operator,
+    euler_phi,
+    geom,
+    h_gen,
+    log_inv,
+    partitions_of,
+)
 from plethys.wreath import (
     WreathSymFunc,
-    dih_char_closed,
     dih_series_closed,
     specialize_s2,
 )
@@ -58,28 +66,44 @@ def test_generators_above_truncation_vanish():
     assert Q(5, 4).is_zero()
 
 
-def test_dih_char_closed_small():
+def test_dih_series_closed_small():
     N = 6
-    assert dih_char_closed(1, N) == (P(1, N) + Q(1, N)) * Fraction(1, 2)
-    assert dih_char_closed(2, N) == (
+    series = dih_series_closed(N)
+    assert series.degree_part(1) == (P(1, N) + Q(1, N)) * Fraction(1, 2)
+    assert series.degree_part(2) == (
         P(1, N) ** 2 + P(2, N) * 2 + Q(1, N) ** 2
     ) * Fraction(1, 4)
-    assert dih_char_closed(3, N) == (P(1, N) ** 3 + P(3, N) * 2) * Fraction(1, 6) + Q(
+    assert series.degree_part(3) == (P(1, N) ** 3 + P(3, N) * 2) * Fraction(1, 6) + Q(
         1, N
     ) * P(2, N) * Fraction(1, 2)
 
 
 def test_dih_char_closed_matches_subgroup_average():
+    """The closed-form dihedral characters are the subgroup averages."""
     N = 8
+    series = dih_series_closed(N)
+    assert series.degree_part(0).is_zero()
     for n in range(1, N + 1):
-        assert dih_char_closed(n, N) == ind_trivial_char_wreath(hyperoct_dihedral(n), N)
+        assert series.degree_part(n) == ind_trivial_char_wreath(hyperoct_dihedral(n), N)
 
 
 def test_dih_series_degree_parts():
+    """Each degree part is the rotation sum plus the reflection term that
+    the ``dih_series_closed`` docstring states."""
     N = 7
     series = dih_series_closed(N)
     for n in range(1, N + 1):
-        assert series.degree_part(n) == dih_char_closed(n, N)
+        rotations = WreathSymFunc.zero(N)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                rotations = rotations + P(d, N) ** (n // d) * Fraction(euler_phi(d), 2 * n)
+        if n % 2:
+            reflections = Q(1, N) * P(2, N) ** ((n - 1) // 2) * Fraction(1, 2)
+        else:
+            reflections = (
+                Q(1, N) ** 2 * P(2, N) ** (n // 2 - 1) + P(2, N) ** (n // 2)
+            ) * Fraction(1, 4)
+        assert series.degree_part(n) == rotations + reflections
 
 
 def test_log_inv_geom_on_wreath():
@@ -170,4 +194,4 @@ def test_json_roundtrip_and_canonical_key_order():
 def test_str_rendering():
     N = 4
     assert str(WreathSymFunc.zero(N)) == "0"
-    assert str(dih_char_closed(1, N)) == "1/2*P1 + 1/2*Q1"
+    assert str(dih_series_closed(1)) == "1/2*P1 + 1/2*Q1"
