@@ -8,10 +8,10 @@ Subcommands:
 Each subcommand takes only the options it reads; any other is a usage
 error.  Exit codes: 0 success, 1 verification failure, 2 input error
 (usage errors included), 3 budget exceeded, 4 internal fault (reported
-with its traceback).  Every census holds at most ``--budget-classes``
-classes (``graphoracle.DEFAULT_BUDGET`` by default), and ``enumerate --n``
-takes at most ``ENUMERATE_MAX_LEGS`` legs, checked before any graph is
-built.
+with its traceback).  Every census holds at most
+``graphoracle.DEFAULT_BUDGET`` classes, a fixed limit, and ``enumerate
+--n`` takes at most ``ENUMERATE_MAX_LEGS`` legs, checked before any graph
+is built.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ class InputError(Exception):
 
 
 def _check_args(args) -> None:
-    for flag in ("max_degree", "budget_classes"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise InputError(f"--{flag.replace('_', '-')} must be >= 1")
+    max_degree = getattr(args, "max_degree", None)
+    if max_degree is not None and max_degree < 1:
+        raise InputError("--max-degree must be >= 1")
     n = getattr(args, "n", 1)
     if n < 1:
         raise InputError("--n must be >= 1: enumeration needs at least one labeled leg")
@@ -128,11 +127,10 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec) if args.spec is not None else ModuleSpec.standard()
     # without --max-degree every suite runs at its own default degree
-    sizing = (args.max_degree, args.budget_classes)
     if args.suite == "all":
-        results = verify.run_all(spec, *sizing)
+        results = verify.run_all(spec, args.max_degree)
     else:
-        results = [verify.run_suite(args.suite, spec, *sizing)]
+        results = [verify.run_suite(args.suite, spec, args.max_degree)]
     if args.format == "json":
         print(json.dumps([r._asdict() for r in results]))
     else:
@@ -143,7 +141,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     spec = _load_spec(args.spec)
-    census = graphoracle.enumerate_decorated(spec, args.family, args.n, args.budget_classes)
+    census = graphoracle.enumerate_decorated(spec, args.family, args.n)
     for canon in census:
         print(json.dumps(canon_to_json_obj(canon)))
     print(json.dumps({"classCount": len(census)}))
@@ -162,11 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", type=str, default=None, help="path to a module-spec JSON file")
         p.add_argument("--format", choices=("json", "text"), default=default_format)
 
-    def budgets(p):
-        p.add_argument(
-            "--budget-classes", type=int, default=graphoracle.DEFAULT_BUDGET, dest="budget_classes"
-        )
-
     p_expand = sub.add_parser("expand", help="print one generating series")
     p_expand.add_argument("what", choices=EXPAND_TARGETS)
     series_options(p_expand, 6, "json")
@@ -175,14 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity-verification suites")
     p_verify.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
     series_options(p_verify, None, "text")
-    budgets(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_enum = sub.add_parser("enumerate", help="stream a census as JSON lines")
     p_enum.add_argument("family", choices=graphoracle.FAMILIES)
     p_enum.add_argument("--n", type=int, required=True, help="number of labeled legs")
     p_enum.add_argument("--spec", type=str, required=True, help="path to a module-spec JSON file")
-    budgets(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
     return parser

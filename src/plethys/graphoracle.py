@@ -67,7 +67,7 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed its budget."""
 
 
-# the default limit on the classes one census holds
+# the most classes one census holds, read when a census is built
 DEFAULT_BUDGET = 10**6
 
 
@@ -362,10 +362,10 @@ def _perfect_matchings(ports):
             yield ((a, b),) + sub
 
 
-def _insert(census, canon, value, max_classes):
+def _insert(census, canon, value):
     if canon not in census:
-        if len(census) >= max_classes:
-            raise BudgetExceededError(f"census exceeds class budget {max_classes}")
+        if len(census) >= DEFAULT_BUDGET:
+            raise BudgetExceededError(f"census exceeds class budget {DEFAULT_BUDGET}")
         census[canon] = value
 
 
@@ -578,7 +578,7 @@ def _check_leg_count(n):
         raise ValueError("enumeration needs at least one labeled leg")
 
 
-def enumerate_decorated(spec: ModuleSpec, family: str, n: int, max_classes: int = DEFAULT_BUDGET):
+def enumerate_decorated(spec: ModuleSpec, family: str, n: int):
     """All isomorphism classes in the family with legs labeled 1..n (rooted
     trees carry an extra distinguished leg 0).
 
@@ -596,7 +596,7 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int, max_classes: int 
         graphs = _necklace_graphs(spec, n, family == "oriented-necklace", labeled=True)
     census: dict = {}
     for graph in graphs:
-        _insert(census, canonical_form(graph), graph, max_classes)
+        _insert(census, canonical_form(graph), graph)
     return dict(sorted(census.items()))
 
 
@@ -645,23 +645,23 @@ def _leg_actions(graph: DecoratedGraph, orders):
     return actions
 
 
-def _aut_char(graphs, n: int, truncation: int, max_classes: int) -> SymFunc:
+def _aut_char(graphs, n: int, truncation: int) -> SymFunc:
     """Character of a census with n legs from its leg-unlabeled classes.
 
     ``graphs`` meets every class of the census with its legs 1..n all
     relabeled 1, isomorphic graphs included; they are deduplicated under
-    the class limit ``max_classes``.  Each leg-unlabeled class U contributes
-    its cycle index (1/|Aut U|) sum_{a in Aut U} p_{type(a)}, where type(a)
-    is the cycle type of a on the legs labeled 1.  A class U whose
-    automorphisms act on those legs through the group S stands for the
-    n!/|S| labeled classes over it, and (1/|Aut U|) sum_a p_{type(a)} =
+    the class limit ``DEFAULT_BUDGET``.  Each leg-unlabeled class U
+    contributes its cycle index (1/|Aut U|) sum_{a in Aut U} p_{type(a)},
+    where type(a) is the cycle type of a on the legs labeled 1.  A class U
+    whose automorphisms act on those legs through the group S stands for
+    the n!/|S| labeled classes over it, and (1/|Aut U|) sum_a p_{type(a)} =
     (1/|S|) sum_{s in S} p_{type(s)} is their Burnside average.  The
     oracles below check 1 <= n <= truncation before building ``graphs``.
     """
     classes: dict = {}
     for graph in graphs:
         canon, orders = _canonical_search(graph)
-        _insert(classes, canon, (graph, orders), max_classes)
+        _insert(classes, canon, (graph, orders))
     out = SymFunc.zero(truncation)
     for graph, orders in classes.values():
         out = out + ind_trivial_char(_leg_actions(graph, orders), truncation)
@@ -682,36 +682,36 @@ def _forget_labels(census, n: int):
     return (relabel_legs(graph, forget) for graph in census.values())
 
 
-def mv_char(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
+def mv_char(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
     """Character of all decorated stable graphs of total genus one with n
     legs (including the bare genus-1 corolla), from the automorphism groups
     of the leg-unlabeled classes of the labeled census."""
     _check_char_degree(n, truncation)
-    census = enumerate_decorated(spec, "genus1-stable", n, max_classes)
-    return _aut_char(_forget_labels(census, n), n, truncation, max_classes)
+    census = enumerate_decorated(spec, "genus1-stable", n)
+    return _aut_char(_forget_labels(census, n), n, truncation)
 
 
-def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
+def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
     """Character of the unordered necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
     _check_char_degree(n, truncation)
-    return _aut_char(_necklace_graphs(spec, n, False, labeled=False), n, truncation, max_classes)
+    return _aut_char(_necklace_graphs(spec, n, False, labeled=False), n, truncation)
 
 
-def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
+def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
     """Character of the cyclically oriented necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
     _check_char_degree(n, truncation)
-    return _aut_char(_necklace_graphs(spec, n, True, labeled=False), n, truncation, max_classes)
+    return _aut_char(_necklace_graphs(spec, n, True, labeled=False), n, truncation)
 
 
-def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int, max_classes: int = DEFAULT_BUDGET) -> SymFunc:
+def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
     """Character of rooted genus-0 trees (root leg 0 distinguished) as a
     module over permutations of the legs 1..n, from the automorphism groups
     of the leg-unlabeled classes of the labeled census."""
     _check_char_degree(n, truncation)
-    census = enumerate_decorated(spec, "rooted-tree", n, max_classes)
-    return _aut_char(_forget_labels(census, n), n, truncation, max_classes)
+    census = enumerate_decorated(spec, "rooted-tree", n)
+    return _aut_char(_forget_labels(census, n), n, truncation)
 
 
 def hom_char(action: str, glam, truncation: int) -> SymFunc:

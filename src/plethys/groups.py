@@ -24,14 +24,15 @@ def _check_degree(n: int) -> None:
 
 
 class Perm:
-    """A permutation of {1..n}, stored as the tuple of images of 1..n."""
+    """A permutation of {1..n}, stored as the tuple of images of 1..n,
+    each an ``int`` (not a ``bool`` or a float equal to one)."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        if not {int}.issuperset(map(type, images)) or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on 1..{n}: {images!r}")
         object.__setattr__(self, "images", images)
 
@@ -130,12 +131,16 @@ def signed_cycle_monomial(x: Perm):
     return tuple(sorted(key))
 
 
-def closure(generators, cap: int = 10000) -> list:
+# the most elements one closure holds, a guard against runaway input
+CLOSURE_CAP = 10000
+
+
+def closure(generators) -> list:
     """Subgroup generated by the given elements, by breadth-first closure.
 
-    Raises if the closure would exceed ``cap`` elements (a guard against
-    runaway input).  The returned list starts with the identity and is in
-    deterministic BFS order.
+    Raises if the closure would exceed ``CLOSURE_CAP`` elements.  The
+    returned list starts with the identity and is in deterministic BFS
+    order.
     """
     gens = list(generators)
     if not gens:
@@ -152,8 +157,8 @@ def closure(generators, cap: int = 10000) -> list:
             for g in gens:
                 y = x * g
                 if y not in seen:
-                    if len(seen) >= cap:
-                        raise ValueError(f"subgroup closure exceeded cap {cap}")
+                    if len(seen) >= CLOSURE_CAP:
+                        raise ValueError(f"subgroup closure exceeded cap {CLOSURE_CAP}")
                     seen[y] = None
                     new.append(y)
         frontier = new

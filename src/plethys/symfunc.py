@@ -109,6 +109,11 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _check_truncation(truncation) -> None:
+    if not isinstance(truncation, int) or truncation < 1:
+        raise ValueError("truncation must be a positive integer")
+
+
 class _TruncatedSeries:
     """The truncated power-sum algebra shared by ``SymFunc`` and
     ``WreathSymFunc``.
@@ -133,8 +138,7 @@ class _TruncatedSeries:
     __slots__ = ("truncation", "_terms")
 
     def __init__(self, truncation: int, terms=None):
-        if not isinstance(truncation, int) or truncation < 1:
-            raise ValueError("truncation must be a positive integer")
+        _check_truncation(truncation)
         clean: dict[tuple, Fraction] = {}
         if terms:
             for key, coeff in terms.items() if hasattr(terms, "items") else terms:
@@ -212,6 +216,7 @@ class _TruncatedSeries:
         """The same value carried at a lower truncation (terms above it
         are dropped).  Raising the truncation is refused: the discarded
         degrees are not recoverable."""
+        _check_truncation(new_truncation)
         if new_truncation > self.truncation:
             raise ValueError(
                 f"cannot raise truncation {self.truncation} to {new_truncation}"

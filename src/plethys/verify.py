@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import graphoracle
-from .graphoracle import DEFAULT_BUDGET, hom_char
+from .graphoracle import hom_char
 from .groups import (
     cyclic_subgroup,
     dihedral_in_sym,
@@ -69,16 +69,16 @@ def _first_difference(f: SymFunc, part_of, max_degree: int):
     return None
 
 
-def _census_difference(formula: SymFunc, oracle, spec: ModuleSpec, max_degree: int, max_classes: int):
+def _census_difference(formula: SymFunc, oracle, spec: ModuleSpec, max_degree: int):
     """``_first_difference`` of ``formula`` against a census.
 
     Every census character is homogeneous of degree n, so degree d of the
-    summed census series is the character ``oracle(spec, d, ...)`` alone;
+    summed census series is the character ``oracle(spec, d, N)`` alone;
     no census past the first differing degree is enumerated.
     """
     N = formula.truncation
     return _first_difference(
-        formula, lambda d: oracle(spec, d, N, max_classes) if d else SymFunc.zero(N), max_degree
+        formula, lambda d: oracle(spec, d, N) if d else SymFunc.zero(N), max_degree
     )
 
 
@@ -100,7 +100,7 @@ def _average_difference(series, subgroup, average, max_degree: int):
     )
 
 
-def run_bb(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
+def run_bb(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Closed form of the cyclically-ordered corolla series against the
     averages over cyclic subgroups."""
     detail = _diff_detail(
@@ -109,7 +109,7 @@ def run_bb(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
     return SuiteResult("bb", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_generating(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
+def run_generating(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Closed generating series of the dihedral characters against the
     averages over the dihedral subgroups of the hyperoctahedral groups."""
     detail = _diff_detail(
@@ -120,7 +120,7 @@ def run_generating(spec: ModuleSpec, max_degree: int, max_classes: int) -> Suite
     return SuiteResult("generating", detail is None, detail or f"exact for all degrees <= {max_degree}")
 
 
-def run_deg1(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
+def run_deg1(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Differential-operator pairing against the orbit-counting oracle."""
     N = max(max_degree, 5)
     cases_g = [((4,), h_gen(4, N)), ((3, 2), h_lambda((3, 2), N))]
@@ -143,20 +143,18 @@ def run_deg1(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult
     return SuiteResult("deg1", True, "all operator/orbit pairings agree")
 
 
-def run_cyclic(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
+def run_cyclic(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Cyclically-oriented necklace series against the oriented census."""
     working = working_truncation(spec, max_degree)
     a0 = a_series(spec, 0, working)
     formula = cyclic_necklace_series(a0)
     detail = _diff_detail(
-        _census_difference(
-            formula, graphoracle.cyclic_necklace_char_oracle, spec, max_degree, max_classes
-        )
+        _census_difference(formula, graphoracle.cyclic_necklace_char_oracle, spec, max_degree)
     )
     return SuiteResult("cyclic", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_necklaces(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
+def run_necklaces(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Unordered necklace series (both computation paths) against the
     unordered census."""
     working = working_truncation(spec, max_degree)
@@ -167,21 +165,19 @@ def run_necklaces(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteR
     if detail is not None:
         return SuiteResult("necklaces", False, "direct vs wreath path: " + detail)
     detail = _diff_detail(
-        _census_difference(direct, graphoracle.necklace_char_oracle, spec, max_degree, max_classes)
+        _census_difference(direct, graphoracle.necklace_char_oracle, spec, max_degree)
     )
     return SuiteResult("necklaces", detail is None, detail or f"both paths match census through degree {max_degree}")
 
 
-def run_theorem(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
+def run_theorem(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """End-to-end genus-one series against the full stable-graph census."""
     formula = b1_series(spec, max_degree)
-    detail = _diff_detail(
-        _census_difference(formula, graphoracle.mv_char, spec, max_degree, max_classes)
-    )
+    detail = _diff_detail(_census_difference(formula, graphoracle.mv_char, spec, max_degree))
     return SuiteResult("theorem", detail is None, detail or f"exact through degree {max_degree}")
 
 
-def run_negative_dih(spec: ModuleSpec, max_degree: int, max_classes: int) -> SuiteResult:
+def run_negative_dih(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Negative control: treating the dihedral groups as plain subgroups of
     the symmetric groups and substituting the doubly-marked genus-0 series
     must NOT reproduce the necklace census; the suite passes when a
@@ -192,7 +188,7 @@ def run_negative_dih(spec: ModuleSpec, max_degree: int, max_classes: int) -> Sui
     naive = SymFunc.zero(working)
     for n in range(1, max_degree + 1):
         naive = naive + plethysm(ind_trivial_char(dihedral_in_sym(n), working), core)
-    diff = _census_difference(naive, graphoracle.necklace_char_oracle, spec, max_degree, max_classes)
+    diff = _census_difference(naive, graphoracle.necklace_char_oracle, spec, max_degree)
     if diff is None:
         return SuiteResult(
             "negative-dih", False, f"no difference found through degree {max_degree}; expected one"
@@ -200,8 +196,9 @@ def run_negative_dih(spec: ModuleSpec, max_degree: int, max_classes: int) -> Sui
     return SuiteResult("negative-dih", True, f"difference detected at degree {diff[0]}, as required")
 
 
-# every runner takes (spec, max_degree, max_classes); the closed-form
-# suites read only the degree
+# every runner takes (spec, max_degree); the closed-form suites read only
+# the degree, and every census holds at most graphoracle.DEFAULT_BUDGET
+# classes
 _RUNNERS = {
     "bb": run_bb,
     "generating": run_generating,
@@ -213,28 +210,21 @@ _RUNNERS = {
 }
 
 
-def run_suite(
-    name: str,
-    spec: ModuleSpec | None = None,
-    max_degree: int | None = None,
-    max_classes: int = DEFAULT_BUDGET,
-) -> SuiteResult:
+def run_suite(name: str, spec: ModuleSpec | None = None, max_degree: int | None = None) -> SuiteResult:
     """Run one suite on ``spec`` (the standard module by default) at
-    ``max_degree`` (the suite's own default degree by default).  Each
-    census it enumerates has as many legs as the degree it checks and
-    holds at most ``max_classes`` classes."""
+    ``max_degree`` (the suite's own default degree by default), which must
+    be at least 1.  Each census it enumerates has as many legs as the
+    degree it checks."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
+    if max_degree is not None and max_degree < 1:
+        raise ValueError(f"max_degree must be >= 1, got {max_degree}")
     if spec is None:
         spec = ModuleSpec.standard()
     if max_degree is None:
         max_degree = SUITE_DEFAULT_DEGREE[name]
-    return _RUNNERS[name](spec, max_degree, max_classes)
+    return _RUNNERS[name](spec, max_degree)
 
 
-def run_all(
-    spec: ModuleSpec | None = None,
-    max_degree: int | None = None,
-    max_classes: int = DEFAULT_BUDGET,
-) -> list[SuiteResult]:
-    return [run_suite(name, spec, max_degree, max_classes) for name in SUITE_NAMES]
+def run_all(spec: ModuleSpec | None = None, max_degree: int | None = None) -> list[SuiteResult]:
+    return [run_suite(name, spec, max_degree) for name in SUITE_NAMES]

@@ -73,7 +73,7 @@ def test_aut_char_equals_burnside_char(spec, top, family):
         labeled = enumerate_decorated(spec, family, n)
         burnside = char_of_census(labeled, n, TRUNCATION)
         graphs = _unlabeled(spec, family, n, labeled)
-        assert go._aut_char(graphs, n, TRUNCATION, go.DEFAULT_BUDGET) == burnside
+        assert go._aut_char(graphs, n, TRUNCATION) == burnside
         # each unlabeled class U stands for n!/|leg image of Aut U| labeled ones
         classes = _classes(graphs)
         labeled_count = sum(

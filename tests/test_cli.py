@@ -179,13 +179,13 @@ def test_enumerate_leg_limit_exit_code(capsys, monkeypatch, tiny_spec, family):
     assert err == "error: 6 legs exceed budget 5\n"
 
 
-def test_enumerate_budget_exit_code(capsys, tiny_spec):
-    argv = ["enumerate", "necklace", "--n", "4", "--spec", tiny_spec, "--budget-classes", "2"]
-    code, _, err = run(capsys, argv)
+def test_enumerate_budget_exit_code(capsys, monkeypatch, tiny_spec):
+    monkeypatch.setattr(graphoracle, "DEFAULT_BUDGET", 2)
+    code, _, err = run(capsys, ["enumerate", "necklace", "--n", "4", "--spec", tiny_spec])
     assert code == 3
     assert "class budget 2" in err
     # necklace characters come from leg-unlabeled classes; the class budget holds
-    code, _, err = run(capsys, ["verify", "necklaces", "--max-degree", "3", "--budget-classes", "2"])
+    code, _, err = run(capsys, ["verify", "necklaces", "--max-degree", "3"])
     assert code == 3
     assert "budget" in err
 
@@ -200,27 +200,38 @@ def test_enumerate_five_legs_at_defaults(capsys, std_spec):
     assert len(lines) == 1023
 
 
-def test_budget_flag_replaces_only_its_limit(capsys):
-    # the flag's value is the default class limit, and a suite's censuses
-    # have no leg limit
-    code, out, err = run(
-        capsys, ["verify", "cyclic", "--max-degree", "5", "--budget-classes", "1000000"]
-    )
+def budget_flag_usage_error(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+def test_budget_flag_replaces_only_its_limit(capsys, tiny_spec):
+    # the class limit is a constant and no flag replaces it, not even at its
+    # own value; a suite's censuses have no leg limit
+    code, out, err = run(capsys, ["verify", "cyclic", "--max-degree", "5"])
     assert code == 0, err
     assert out.startswith("cyclic: PASS")
+    for argv in (
+        ["verify", "cyclic", "--max-degree", "5"],
+        ["enumerate", "necklace", "--n", "2", "--spec", tiny_spec],
+    ):
+        for value in ("5", str(graphoracle.DEFAULT_BUDGET)):
+            budget_flag_usage_error(capsys, argv, "--budget-classes", value)
 
 
 @pytest.mark.parametrize("flag", ["--budget-classes"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_budget_flags_below_one_are_input_errors(capsys, tiny_spec, flag, value):
+    # the flag is gone, so any value of it is a usage error (exit 2)
     for argv in (
         ["verify", "cyclic", "--max-degree", "3"],
         ["enumerate", "necklace", "--n", "2", "--spec", tiny_spec],
     ):
-        code, out, err = run(capsys, argv + [flag, value])
-        assert code == 2
-        assert out == ""
-        assert f"{flag} must be >= 1" in err
+        budget_flag_usage_error(capsys, argv, flag, value)
 
 
 def test_malformed_spec_exit_code(capsys, tmp_path):

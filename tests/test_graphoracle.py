@@ -241,16 +241,18 @@ def test_enumerated_graphs_are_valid():
         assert 0 in g.leg_label
 
 
-def test_budget_enforcement():
+def test_budget_enforcement(monkeypatch):
     # a census is bounded by the classes it holds; the leg limit belongs to
     # ``plethys enumerate`` alone, and the library takes any number of legs
     assert len(enumerate_decorated(TINY, "necklace", 6)) == 60
-    with pytest.raises(BudgetExceededError):
-        enumerate_decorated(STD, "necklace", 4, 3)
+    # the class limit is a module constant, read when a census is built
+    monkeypatch.setattr(go, "DEFAULT_BUDGET", 2)
+    with pytest.raises(BudgetExceededError, match="^census exceeds class budget 2$"):
+        enumerate_decorated(STD, "necklace", 4)
     # necklace characters enumerate leg-unlabeled classes under the same checks
     N = 6
     with pytest.raises(BudgetExceededError):
-        go.necklace_char_oracle(STD, 4, N, 3)
+        go.necklace_char_oracle(STD, 4, N)
     with pytest.raises(ValueError):
         go.necklace_char_oracle(STD, 0, N)
     with pytest.raises(ValueError):
@@ -261,7 +263,7 @@ def test_budget_enforcement():
         with pytest.raises(ValueError):
             oracle(STD, 0, N)
         with pytest.raises(BudgetExceededError):
-            oracle(STD, 4, N, 1)
+            oracle(STD, 4, N)
         with pytest.raises(ValueError):
             oracle(STD, 3, 2)
 

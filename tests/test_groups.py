@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from plethys.groups import (
+    CLOSURE_CAP,
     Perm,
     closure,
     cycle_type,
@@ -56,6 +57,10 @@ def test_perm_basics():
     assert (x * x).images == (3, 1, 2)
     with pytest.raises(ValueError):
         Perm((1, 1, 2))
+    # 1.0 and True compare equal to 1, but only an int is a point
+    for images in ((1.0, 2), (2.0, 1.0), (True, 2), (2, True), ("1", 2), (None, 1)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Perm(images)
 
 
 def test_cycle_type_examples():
@@ -192,8 +197,10 @@ def test_closure_contains_identity_and_inverses():
 
 
 def test_closure_cap():
-    with pytest.raises(ValueError):
-        closure([Perm.long_cycle(7)], cap=3)
+    # S_8 has 40,320 elements, more than the closure holds
+    assert CLOSURE_CAP < math.factorial(8)
+    with pytest.raises(ValueError, match="closure exceeded cap"):
+        closure([Perm.long_cycle(8), Perm((2, 1, 3, 4, 5, 6, 7, 8))])
 
 
 def test_subgroup_orders():

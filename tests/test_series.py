@@ -219,6 +219,9 @@ def test_b1_series_examples():
     assert b1_series(empty, N) == SymFunc.zero(N)
     loop_spec = ModuleSpec(genus0={3: [(3,)]})
     assert b1_series(loop_spec, 1) == SymFunc.p(1, 1)
+    for degree in (0, -2):
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            b1_series(ModuleSpec.standard(), degree)
 
 
 def test_b1_series_working_truncation():

@@ -281,6 +281,10 @@ def test_truncated():
     assert g == SymFunc.p(2, 3)
     with pytest.raises(ValueError):
         g.truncated(5)
+    # the truncations the constructor refuses
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            f.truncated(n)
 
 
 def test_json_roundtrip_and_order():

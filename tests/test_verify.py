@@ -1,8 +1,9 @@
-"""Every verification suite reports a FAIL when its closed side is wrong.
+"""Every verification suite reports a FAIL when its closed side is wrong,
+and refuses a degree at which it would check nothing.
 
-Each case replaces one closed form in ``verify``'s namespace by a perturbed
-copy and runs the suite at its default degree: the suite must fail, at the
-degree where the perturbation first shows.
+Each perturbation case replaces one closed form in ``verify``'s namespace
+by a perturbed copy and runs the suite at its default degree: the suite
+must fail, at the degree where the perturbation first shows.
 """
 
 from fractions import Fraction
@@ -90,3 +91,18 @@ def test_suite_fails_on_a_perturbed_closed_form(monkeypatch, suite, name, pertur
     result = verify.run_suite(suite)
     assert result.passed is False
     assert result.detail.startswith(detail), result.detail
+
+
+@pytest.mark.parametrize("max_degree", [0, -1])
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_suite_rejects_degrees_below_one(monkeypatch, suite, max_degree):
+    # no suite runs, so no series or census is built
+    def refuse(*args):
+        raise AssertionError("a suite ran")
+
+    for name in verify.SUITE_NAMES:
+        monkeypatch.setitem(verify._RUNNERS, name, refuse)
+    with pytest.raises(ValueError, match="max_degree must be >= 1"):
+        verify.run_suite(suite, max_degree=max_degree)
+    with pytest.raises(ValueError, match="max_degree must be >= 1"):
+        verify.run_all(max_degree=max_degree)

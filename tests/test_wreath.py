@@ -61,6 +61,13 @@ def test_truncation_mismatch():
         P(1, 3) + P(1, 4)
 
 
+def test_truncated_rejects_truncations_below_one():
+    # the truncations the constructor refuses
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            dih_series_closed(6).truncated(n)
+
+
 def test_generators_above_truncation_vanish():
     assert P(5, 4).is_zero()
     assert Q(5, 4).is_zero()
