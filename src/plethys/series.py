@@ -13,24 +13,21 @@ The genus-one series glues before it expands.  Plethysm by the tree series
 T is a ring homomorphism in its left argument that fixes rational constants
 and commutes with Adams operations; T starts at p_1, so it maps degree d
 to degrees >= d and commutes with truncation.  So the necklace series
-composed with T is exactly the necklace formula at a0'' o T and (da0/dp_2) o T,
-and so is ``specialize_s2(dih_series_closed(N), a0'' o T, (da0/dp_2) o T)``:
-the paper's route, which ``tests/test_series.py`` checks against ``b1_series``.
+composed with T is exactly the necklace formula (``symfunc`` writes it once,
+for both rings) at a0'' o T and (da0/dp_2) o T, and so is
+``specialize_s2(dih_series_closed(N), a0'' o T, (da0/dp_2) o T)``: the
+paper's route, which ``tests/test_series.py`` checks against ``b1_series``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .symfunc import (
     Partition,
     SymFunc,
+    _cyclic_sum,
+    _necklace_formula,
     _validate_partition,
-    adams,
-    euler_phi,
-    geom,
     h_lambda,
-    log_inv,
     partial_p,
     plethysm,
 )
@@ -167,16 +164,6 @@ def ass_series(truncation: int) -> SymFunc:
     return _cyclic_sum(SymFunc.p(1, truncation))
 
 
-def _cyclic_sum(g: SymFunc) -> SymFunc:
-    """The cycle index of cyclically ordered arrangements of g-structures:
-    sum_n (phi(n)/n) * (-log(1 - adams(n, g))), truncated."""
-    N = g.truncation
-    out = SymFunc.zero(N)
-    for n in range(1, N + 1):
-        out = out + log_inv(adams(n, g)) * Fraction(euler_phi(n), n)
-    return out
-
-
 def _check_core_series(a0: SymFunc) -> None:
     val = a0.valuation()
     if val is not None and val < 3:
@@ -194,23 +181,6 @@ def cyclic_necklace_series(a0: SymFunc) -> SymFunc:
     sum_n (phi(n)/n) * (-log(1 - adams(n, a0''))), truncated."""
     _check_core_series(a0)
     return _cyclic_sum(second_leg_series(a0))
-
-
-def _necklace_formula(core: SymFunc, adot: SymFunc) -> SymFunc:
-    """Sum over unordered necklaces of genus-0 vertices, from the series
-    ``core`` of vertices with an ordered pair of marked legs and the series
-    ``adot`` = da0/dp_2, by ordinary symmetric-function primitives.
-
-    The rotation part is half the oriented sum.  The reflection part is
-    (adot * (1 + adot) + (1/4) adams(2, core)) / (1 - adams(2, core)):
-    reflections whose axis passes through a vertex contribute the
-    derivative terms, reflections whose axis passes through two edges
-    contribute the quarter term.
-    """
-    rotations = _cyclic_sum(core) * Fraction(1, 2)
-    psi2 = adams(2, core)
-    refl = adot * (SymFunc.one(core.truncation) + adot) + psi2 * Fraction(1, 4)
-    return rotations + refl * geom(psi2)
 
 
 def necklace_series(a0: SymFunc, method: str = "direct") -> SymFunc:

@@ -18,6 +18,7 @@ degree, then reverse-lexicographically within a degree: ``(n,)`` first,
 The truncated-series core (``_TruncatedSeries``) knows nothing about
 partitions: ``SymFunc`` supplies the partition keys, and
 ``plethys.wreath`` supplies wreath monomial keys to the same core.
+``adams``, ``log_inv``, ``geom`` and the necklace formula work in either.
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
-def _check_truncation(truncation) -> None:
-    if not isinstance(truncation, int) or truncation < 1:
-        raise ValueError("truncation must be a positive integer")
+def _check_positive_int(value, name: str) -> None:
+    # bool is an int subclass, but True is not an index or a truncation
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class _TruncatedSeries:
@@ -125,6 +127,7 @@ class _TruncatedSeries:
 
     ``_validate_key``  check one key and return it in canonical form
     ``_key_degree``    total degree of a key
+    ``_scale_key``     a key with every factor's degree multiplied by k
     ``_sort_key``      canonical term order (by degree first)
     ``_descending``    whether the factors inside a key sort descending
     ``_factor_str``    rendering of one generator factor
@@ -138,7 +141,7 @@ class _TruncatedSeries:
     __slots__ = ("truncation", "_terms")
 
     def __init__(self, truncation: int, terms=None):
-        _check_truncation(truncation)
+        _check_positive_int(truncation, "truncation")
         clean: dict[tuple, Fraction] = {}
         if terms:
             for key, coeff in terms.items() if hasattr(terms, "items") else terms:
@@ -180,8 +183,7 @@ class _TruncatedSeries:
     def _generator(cls, factor, k: int, truncation: int):
         """The monomial of the single factor of degree k (zero if k exceeds
         the truncation)."""
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("generator index must be a positive integer")
+        _check_positive_int(k, "generator index")
         if k > truncation:
             return cls.zero(truncation)
         return cls(truncation, {(factor,): Fraction(1)})
@@ -216,7 +218,7 @@ class _TruncatedSeries:
         """The same value carried at a lower truncation (terms above it
         are dropped).  Raising the truncation is refused: the discarded
         degrees are not recoverable."""
-        _check_truncation(new_truncation)
+        _check_positive_int(new_truncation, "truncation")
         if new_truncation > self.truncation:
             raise ValueError(
                 f"cannot raise truncation {self.truncation} to {new_truncation}"
@@ -367,6 +369,7 @@ class SymFunc(_TruncatedSeries):
 
     _validate_key = staticmethod(_validate_partition)
     _key_degree = staticmethod(sum)
+    _scale_key = staticmethod(lambda lam, k: tuple(part * k for part in lam))
     _sort_key = staticmethod(partition_sort_key)
     _descending = True
     _json_field = "partition"
@@ -393,8 +396,7 @@ class SymFunc(_TruncatedSeries):
 
 def h_gen(n: int, truncation: int) -> SymFunc:
     """The complete homogeneous symmetric function h_n = sum p_lam / z_lam."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    _check_positive_int(n, "n")
     if n > truncation:
         raise ValueError(f"h_{n} exceeds truncation {truncation}")
     return SymFunc._raw(
@@ -411,17 +413,20 @@ def h_lambda(lam, truncation: int) -> SymFunc:
     return out
 
 
-def adams(k: int, f: SymFunc) -> SymFunc:
-    """k-th Adams operation: substitute p_j -> p_{jk}; degrees multiply by k."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("Adams index must be a positive integer")
+def adams(k: int, f):
+    """k-th Adams operation: substitute p_j -> p_{jk} (P_j -> P_{jk} and
+    Q_j -> Q_{jk} for a ``WreathSymFunc``, the result having f's type);
+    degrees multiply by k."""
+    _check_positive_int(k, "Adams index")
     N = f.truncation
+    degree = f._key_degree
+    scale = f._scale_key
     terms = {}
-    for lam, c in f._terms.items():
-        if k * sum(lam) > N:
+    for key, c in f._terms.items():
+        if k * degree(key) > N:
             continue
-        terms[tuple(part * k for part in lam)] = c
-    return SymFunc._raw(N, terms)
+        terms[scale(key, k)] = c
+    return f._raw(N, terms)
 
 
 def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
@@ -473,8 +478,7 @@ def _substitute(terms, image, truncation: int) -> SymFunc:
 
 def partial_p(k: int, f: SymFunc) -> SymFunc:
     """Formal partial derivative with respect to p_k."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("derivative index must be a positive integer")
+    _check_positive_int(k, "derivative index")
     terms: dict[Partition, Fraction] = {}
     for lam, c in f._terms.items():
         m = lam.count(k)
@@ -544,3 +548,28 @@ def geom(f):
     for power in _powers(f):
         out = out + power
     return out
+
+
+def _cyclic_sum(g):
+    """The cycle index of cyclically ordered arrangements of g-structures:
+    sum_n (phi(n)/n) * (-log(1 - adams(n, g))), truncated, in g's ring."""
+    N = g.truncation
+    out = type(g).zero(N)
+    for n in range(1, N + 1):
+        out = out + log_inv(adams(n, g)) * Fraction(euler_phi(n), n)
+    return out
+
+
+def _necklace_formula(core, adot):
+    """Sum over unordered necklaces of vertices from ``core`` (ordered pair
+    of marked legs) and ``adot`` (da0/dp_2), in their ring; ``wreath``'s
+    dihedral series is this formula at P_1 and Q_1/2.  The rotation part is
+    half the oriented sum.  The reflection part is (adot * (1 + adot) +
+    (1/4) adams(2, core)) / (1 - adams(2, core)): reflections whose axis
+    passes through a vertex give the adot terms, and those whose axis
+    passes through two edges give the quarter term.
+    """
+    rotations = _cyclic_sum(core) * Fraction(1, 2)
+    psi2 = adams(2, core)
+    refl = adot * (type(core).one(core.truncation) + adot) + psi2 * Fraction(1, 4)
+    return rotations + refl * geom(psi2)

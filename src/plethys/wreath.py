@@ -9,7 +9,9 @@ place of partitions; ring operations, rendering and the JSON form are the
 core's.
 
 ``dih_series_closed`` is the one closed form of the dihedral characters:
-its degree-n part is the character of the degree-n dihedral subgroup.
+its degree-n part is the character of the degree-n dihedral subgroup.  It
+is the necklace formula of ``plethys.symfunc`` at P_1 and Q_1/2, in this
+ring, where ``adams`` takes P_j to P_{jk} and Q_j to Q_{jk}.
 
 ``specialize_s2`` carries these functions onto ordinary symmetric
 functions along two given series: P_k acts as the k-th Adams operation of
@@ -28,11 +30,10 @@ from itertools import groupby
 from .symfunc import (
     SymFunc,
     _TruncatedSeries,
+    _check_positive_int,
+    _necklace_formula,
     _substitute,
     adams,
-    euler_phi,
-    geom,
-    log_inv,
 )
 
 E_CLASS = "e"
@@ -44,8 +45,7 @@ WreathMonomial = tuple  # sorted tuple of (k, class-tag) pairs
 def _validate_monomial(key) -> WreathMonomial:
     key = tuple(key)
     for k, tag in key:
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"generator index must be a positive integer, got {key!r}")
+        _check_positive_int(k, "generator index")
         if tag not in (E_CLASS, T_CLASS):
             raise ValueError(f"class tag must be {E_CLASS!r} or {T_CLASS!r}, got {key!r}")
     return tuple(sorted(key))
@@ -80,6 +80,7 @@ class WreathSymFunc(_TruncatedSeries):
 
     _validate_key = staticmethod(_validate_monomial)
     _key_degree = staticmethod(_degree)
+    _scale_key = staticmethod(lambda key, k: tuple((j * k, tag) for j, tag in key))
     _sort_key = staticmethod(monomial_sort_key)
     _descending = False
     _factor_str = staticmethod(_factor_str)
@@ -116,16 +117,10 @@ def dih_series_closed(truncation: int) -> WreathSymFunc:
     underlying reflection yields a Q_1 and each 2-cycle a P_2, giving
     (1/2) Q_1 P_2^{(n-1)/2} for odd n and
     (1/4) (Q_1^2 P_2^{n/2 - 1} + P_2^{n/2}) for even n.
+    It is the necklace formula of ``symfunc`` at core = P_1, adot = Q_1/2.
     """
     N = truncation
-    out = WreathSymFunc.zero(N)
-    for n in range(1, N + 1):
-        out = out + log_inv(WreathSymFunc.gen_p(n, N)) * Fraction(euler_phi(n), 2 * n)
-    q1 = WreathSymFunc.gen_q(1, N)
-    p2 = WreathSymFunc.gen_p(2, N)
-    half_q1 = q1 * Fraction(1, 2)
-    refl = half_q1 + half_q1 * half_q1 + p2 * Fraction(1, 4)
-    return out + refl * geom(p2)
+    return _necklace_formula(WreathSymFunc.gen_p(1, N), WreathSymFunc.gen_q(1, N) * Fraction(1, 2))
 
 
 def specialize_s2(w: WreathSymFunc, core: SymFunc, adot: SymFunc) -> SymFunc:
@@ -135,11 +130,15 @@ def specialize_s2(w: WreathSymFunc, core: SymFunc, adot: SymFunc) -> SymFunc:
         P_k -> adams(k, core)
         Q_k -> 2 * adams(k, adot)
 
-    extended linearly and multiplicatively over monomials.
+    extended linearly and multiplicatively over monomials.  Like the right
+    argument of a plethysm, core and adot must have no constant term.
     """
-    for f in (core, adot):
-        if w.truncation != f.truncation:
-            raise ValueError(f"truncation mismatch: {w.truncation} vs {f.truncation}")
+    if type(w) is not WreathSymFunc:
+        raise TypeError(f"expected WreathSymFunc, got {type(w).__name__}")
+    for name, f in (("core", core), ("adot", adot)):
+        SymFunc.zero(w.truncation)._check_compatible(f)
+        if f.coefficient(()):
+            raise ValueError(f"specialize_s2 requires {name} to have no constant term")
 
     def image(factor) -> SymFunc:
         k, tag = factor

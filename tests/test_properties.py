@@ -6,9 +6,9 @@ identities, powers, the geometric and log series, the JSON round trip, and
 that values of the two algebras never mix.  The operations beyond the ring
 have their laws too: plethysm is a ring homomorphism in its left argument,
 ``partial_p`` obeys the Leibniz rule, ``specialize_s2`` is
-multiplicative and takes the closed dihedral series to the necklace
-formula at any two inputs, and the rooted-tree series solves
-f = p_1 + a0' o f.  Plethysm associativity and the composition of Adams
+multiplicative, commutes with Adams operations and takes the closed
+dihedral series to the necklace formula at any two inputs, and the
+rooted-tree series solves f = p_1 + a0' o f.  Plethysm associativity and the composition of Adams
 operations are acceptance criteria 8a and 8b in ``test_acceptance.py``.
 """
 
@@ -16,10 +16,19 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from plethys.series import ModuleSpec, _necklace_formula, a_series, tree_fixed_point
-from plethys.symfunc import SymFunc, geom, log_inv, partial_p, partitions_of, plethysm
+from plethys.series import ModuleSpec, a_series, tree_fixed_point
+from plethys.symfunc import (
+    SymFunc,
+    _necklace_formula,
+    adams,
+    geom,
+    log_inv,
+    partial_p,
+    partitions_of,
+    plethysm,
+)
 from plethys.wreath import E_CLASS, T_CLASS, WreathSymFunc, dih_series_closed, specialize_s2
 
 ALGEBRAS = (SymFunc, WreathSymFunc)
@@ -191,11 +200,27 @@ def test_specialize_s2_is_multiplicative(data):
 @given(data=st.data())
 def test_specialize_s2_dihedral_series_is_necklace_formula(data):
     # the two necklace routes agree as an identity in their two inputs,
-    # not only at core = a0'' and adot = da0/dp_2
+    # not only at core = a0'' and adot = da0/dp_2.  The dihedral series is
+    # the same formula at P_1 and Q_1/2, so this checks the substitution:
+    # P_1 -> core, Q_1 -> 2 adot, and that it commutes with Adams operations
     N = data.draw(st.integers(1, 6))
     core = value_at(data, SymFunc, N, min_degree=1)
     adot = value_at(data, SymFunc, N, min_degree=1)
     assert specialize_s2(dih_series_closed(N), core, adot) == _necklace_formula(core, adot)
+
+
+@LAWS
+@given(data=st.data())
+def test_specialize_s2_commutes_with_adams(data):
+    # the one check of adams on Q factors: the library applies the wreath
+    # adams only to P_1, inside the dihedral series
+    N = data.draw(st.integers(2, 6))
+    w = value_at(data, WreathSymFunc, N) + WreathSymFunc.gen_q(data.draw(st.integers(1, N)), N)
+    assume(any(tag == T_CLASS for key, _ in w.terms() for _, tag in key))
+    core = value_at(data, SymFunc, N, min_degree=1)
+    adot = value_at(data, SymFunc, N, min_degree=1)
+    k = data.draw(st.integers(1, 3))
+    assert specialize_s2(adams(k, w), core, adot) == adams(k, specialize_s2(w, core, adot))
 
 
 

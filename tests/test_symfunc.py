@@ -19,6 +19,8 @@ from plethys.symfunc import (
     plethysm,
     z_of,
 )
+from plethys.wreath import WreathSymFunc
+from test_wreath import random_wreath
 
 
 def brute_partitions(n):
@@ -130,6 +132,25 @@ def test_constructor_rejects_bad_terms():
         SymFunc(3, {(4,): 1})  # above truncation
     with pytest.raises(TypeError):
         SymFunc(3, {(1,): 0.5})  # inexact coefficient
+    # True is an int, but neither a truncation nor a generator index
+    for build in (lambda: SymFunc(True, {}), lambda: SymFunc.p(1, True)):
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            build()
+    with pytest.raises(ValueError, match="generator index must be a positive integer"):
+        SymFunc.p(True, 3)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 1.0])
+def test_indices_must_be_positive_ints(bad):
+    f = SymFunc.p(1, 3)
+    for call, name in (
+        (lambda: h_gen(bad, 3), "n"),
+        (lambda: adams(bad, f), "Adams index"),
+        (lambda: partial_p(bad, f), "derivative index"),
+        (lambda: SymFunc.p(bad, 3), "generator index"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {bad!r}$"):
+            call()
 
 
 def test_plethysm_examples():
@@ -184,15 +205,20 @@ def test_adams_is_plethysm_by_power_sum():
 
 
 def test_adams_semigroup_and_ring_hom():
+    # on both rings: in the wreath ring adams scales P_j and Q_j alike
     rng = random.Random(13)
     for _ in range(20):
         N = rng.randint(4, 6)
-        f = random_symfunc(rng, N, min_degree=0)
-        g = random_symfunc(rng, N, min_degree=0)
-        m, n = rng.randint(1, 3), rng.randint(1, 3)
-        assert adams(m, adams(n, f)) == adams(m * n, f)
-        assert adams(m, f * g) == adams(m, f) * adams(m, g)
-        assert adams(m, f + g) == adams(m, f) + adams(m, g)
+        pairs = (
+            (random_symfunc(rng, N, min_degree=0), random_symfunc(rng, N, min_degree=0)),
+            (random_wreath(rng, N) + WreathSymFunc.one(N), random_wreath(rng, N)),
+        )
+        for f, g in pairs:
+            m, n = rng.randint(1, 3), rng.randint(1, 3)
+            assert type(adams(m, f)) is type(f)
+            assert adams(m, adams(n, f)) == adams(m * n, f)
+            assert adams(m, f * g) == adams(m, f) * adams(m, g)
+            assert adams(m, f + g) == adams(m, f) + adams(m, g)
 
 
 def test_partial_p_examples():
@@ -282,7 +308,7 @@ def test_truncated():
     with pytest.raises(ValueError):
         g.truncated(5)
     # the truncations the constructor refuses
-    for n in (0, -2):
+    for n in (0, -2, True):
         with pytest.raises(ValueError, match="truncation must be a positive integer"):
             f.truncated(n)
 

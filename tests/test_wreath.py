@@ -63,9 +63,20 @@ def test_truncation_mismatch():
 
 def test_truncated_rejects_truncations_below_one():
     # the truncations the constructor refuses
-    for n in (0, -2):
+    for n in (0, -2, True):
         with pytest.raises(ValueError, match="truncation must be a positive integer"):
             dih_series_closed(6).truncated(n)
+    # True is an int, but neither a truncation nor a generator index
+    for build in (lambda: dih_series_closed(True), lambda: P(1, True)):
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            build()
+    for build in (
+        lambda: P(True, 3),
+        lambda: Q(True, 3),
+        lambda: WreathSymFunc(3, {((True, "e"),): 1}),
+    ):
+        with pytest.raises(ValueError, match="generator index must be a positive integer"):
+            build()
 
 
 def test_generators_above_truncation_vanish():
@@ -124,6 +135,12 @@ def test_log_inv_geom_on_wreath():
         log_inv(WreathSymFunc.one(N))
 
 
+def test_adams_scales_both_classes():
+    N = 8
+    assert adams(2, P(1, N) * Q(3, N) + Q(1, N)) == P(2, N) * Q(6, N) + Q(2, N)
+    assert adams(3, Q(3, N)).is_zero()
+
+
 def test_specialize_s2_generators():
     N = 6
     rng = random.Random(9)
@@ -141,6 +158,26 @@ def test_specialize_s2_truncation_mismatch():
         specialize_s2(P(1, 4), fpp.truncated(3), fdot)
     with pytest.raises(ValueError, match="truncation mismatch"):
         specialize_s2(P(1, 3), fpp, fdot)
+
+
+def test_specialize_s2_rejects_constant_terms():
+    # as plethysm does: a constant term would give the result a degree-0
+    # part that depends on the truncation
+    N = 4
+    core, adot = legs(h_gen(3, N) + h_gen(4, N))
+    one = SymFunc.one(N)
+    for name, inputs in (("core", (core + one, adot)), ("adot", (core, adot + one))):
+        with pytest.raises(ValueError, match=f"requires {name} to have no constant term"):
+            specialize_s2(dih_series_closed(N), *inputs)
+
+
+def test_specialize_s2_rejects_wrong_types():
+    N = 4
+    core, adot = legs(h_gen(3, N) + h_gen(4, N))
+    with pytest.raises(TypeError, match="expected WreathSymFunc, got SymFunc"):
+        specialize_s2(core, core, adot)
+    with pytest.raises(TypeError, match="expected SymFunc, got WreathSymFunc"):
+        specialize_s2(P(1, N), core, Q(1, N))
 
 
 def test_specialize_s2_multiplicative_and_linear():
