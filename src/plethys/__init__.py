@@ -27,7 +27,6 @@ from .groups import (
     closure,
     cycle_type,
     cyclic_subgroup,
-    dihedral_in_sym,
     hyperoct_dihedral,
     ind_trivial_char,
     ind_trivial_char_wreath,

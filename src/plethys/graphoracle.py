@@ -574,7 +574,7 @@ def _fill_shape(spec, shape, E, leg_labels):
 
 
 def _check_leg_count(n):
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("enumeration needs at least one labeled leg")
 
 
@@ -645,12 +645,12 @@ def _leg_actions(graph: DecoratedGraph, orders):
     return actions
 
 
-def _aut_char(graphs, n: int, truncation: int) -> SymFunc:
-    """Character of a census with n legs from its leg-unlabeled classes.
+def _aut_char(graphs, truncation: int) -> SymFunc:
+    """Character of a census from its leg-unlabeled classes.
 
-    ``graphs`` meets every class of the census with its legs 1..n all
-    relabeled 1, isomorphic graphs included; they are deduplicated under
-    the class limit ``DEFAULT_BUDGET``.  Each leg-unlabeled class U
+    ``graphs`` meets every class of a census with legs 1..n, those legs
+    all relabeled 1, isomorphic graphs included; they are deduplicated
+    under the class limit ``DEFAULT_BUDGET``.  Each leg-unlabeled class U
     contributes its cycle index (1/|Aut U|) sum_{a in Aut U} p_{type(a)},
     where type(a) is the cycle type of a on the legs labeled 1.  A class U
     whose automorphisms act on those legs through the group S stands for
@@ -688,21 +688,21 @@ def mv_char(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
     of the leg-unlabeled classes of the labeled census."""
     _check_char_degree(n, truncation)
     census = enumerate_decorated(spec, "genus1-stable", n)
-    return _aut_char(_forget_labels(census, n), n, truncation)
+    return _aut_char(_forget_labels(census, n), truncation)
 
 
 def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
     """Character of the unordered necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
     _check_char_degree(n, truncation)
-    return _aut_char(_necklace_graphs(spec, n, False, labeled=False), n, truncation)
+    return _aut_char(_necklace_graphs(spec, n, False, labeled=False), truncation)
 
 
 def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
     """Character of the cyclically oriented necklaces with n legs, from the
     automorphism groups of the leg-unlabeled classes."""
     _check_char_degree(n, truncation)
-    return _aut_char(_necklace_graphs(spec, n, True, labeled=False), n, truncation)
+    return _aut_char(_necklace_graphs(spec, n, True, labeled=False), truncation)
 
 
 def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
@@ -711,7 +711,7 @@ def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
     of the leg-unlabeled classes of the labeled census."""
     _check_char_degree(n, truncation)
     census = enumerate_decorated(spec, "rooted-tree", n)
-    return _aut_char(_forget_labels(census, n), n, truncation)
+    return _aut_char(_forget_labels(census, n), truncation)
 
 
 def hom_char(action: str, glam, truncation: int) -> SymFunc:

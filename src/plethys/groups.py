@@ -19,7 +19,7 @@ from .wreath import E_CLASS, T_CLASS, WreathSymFunc
 
 
 def _check_degree(n: int) -> None:
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("n must be a positive integer")
 
 
@@ -168,11 +168,6 @@ def closure(generators) -> list:
 def cyclic_subgroup(n: int) -> list:
     """The cyclic group generated by the long n-cycle inside S_n."""
     return closure([Perm.long_cycle(n)])
-
-
-def dihedral_in_sym(n: int) -> list:
-    """The dihedral group inside S_n: long cycle plus the reversal."""
-    return closure([Perm.long_cycle(n), Perm.reversal(n)])
 
 
 def hyperoct_dihedral(n: int) -> list:

@@ -210,6 +210,11 @@ def test_enumerate_examples():
     assert len(enumerate_decorated(TINY, "oriented-necklace", 1)) == 1
     with pytest.raises(ValueError):
         enumerate_decorated(TINY, "genus1-stable", 0)
+    # True is an int but not a leg count
+    with pytest.raises(ValueError, match="at least one labeled leg"):
+        enumerate_decorated(STD, "necklace", True)
+    with pytest.raises(ValueError, match="at least one labeled leg"):
+        go.necklace_char_oracle(STD, True, 3)
     with pytest.raises(ValueError):
         enumerate_decorated(TINY, "bogus-family", 1)
 
@@ -276,8 +281,9 @@ def test_labeled_oracles_check_degree_before_enumerating(monkeypatch):
     for oracle in (go.mv_char, go.tree_char_oracle):
         with pytest.raises(ValueError, match="degree 4 exceeds truncation 3"):
             oracle(STD, 4, 3)
-        with pytest.raises(ValueError, match="at least one labeled leg"):
-            oracle(STD, 0, 3)
+        for n in (0, True):
+            with pytest.raises(ValueError, match="at least one labeled leg"):
+                oracle(STD, n, 3)
 
 
 # the module of the benchmark's held-out seed: genus1[4][0] = (2, 1, 1)

@@ -11,7 +11,6 @@ from plethys.groups import (
     closure,
     cycle_type,
     cyclic_subgroup,
-    dihedral_in_sym,
     hyperoct_dihedral,
     ind_trivial_char,
     ind_trivial_char_wreath,
@@ -24,6 +23,11 @@ from plethys.wreath import E_CLASS, T_CLASS, WreathSymFunc
 
 def inverse(x):
     return Perm(sorted(range(1, x.degree + 1), key=x))
+
+
+def dihedral_in_sym(n):
+    """The plain dihedral group D_n inside S_n: long cycle plus reversal."""
+    return closure([Perm.long_cycle(n), Perm.reversal(n)])
 
 
 def random_perm(rng, n):
@@ -83,13 +87,12 @@ def test_cycle_map_sym_examples():
 
 
 def test_constructors_reject_nonpositive_n():
-    for n in (0, -2):
+    for n in (0, -2, True):
         for build in (
             Perm.identity,
             Perm.long_cycle,
             Perm.reversal,
             cyclic_subgroup,
-            dihedral_in_sym,
             hyperoct_dihedral,
         ):
             with pytest.raises(ValueError, match="n must be a positive integer"):
