@@ -46,13 +46,19 @@ def _validate_partition(lam) -> Partition:
     return lam
 
 
+def _check_positive_int(value, name: str) -> None:
+    # bool is an int subclass, but True is not an index or a truncation
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, each exactly once, in reverse-lex order.
 
     The empty partition is the unique partition of 0.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     out = []
 
     def extend(remaining, largest, prefix):
@@ -86,8 +92,7 @@ def z_of(lam: Partition) -> int:
 
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_positive_int(n, "n")
     result = n
     m = n
     p = 2
@@ -108,12 +113,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
-
-
-def _check_positive_int(value, name: str) -> None:
-    # bool is an int subclass, but True is not an index or a truncation
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class _TruncatedSeries:
@@ -294,7 +293,7 @@ class _TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
         out = self.one(self.truncation)
         for _ in range(exponent):
@@ -512,51 +511,72 @@ def d_operator(f: SymFunc, g: SymFunc) -> SymFunc:
     return out
 
 
-def _powers(f):
-    """f, f^2, ..., f^K for the largest K with K * valuation(f) <= the
-    truncation, nothing for f = 0; f must have no constant term, so that
-    the series summed over these powers converge."""
+def geom(f):
+    """1/(1 - f) = sum_{k>=0} f^k, truncated; f must have valuation >= 1.
+
+    f may be a ``SymFunc`` or a ``WreathSymFunc``; the result has its type.
+    It is computed degree by degree from g = 1 + f g: g_0 = 1 and
+    g_d = sum_{j=1..d} f_j g_{d-j}, f_j and g_j being the degree-j parts.
+    Each pair of a term of f and a term of g is multiplied once, which is
+    one truncated product's worth of work.
+    """
     if f.coefficient(()):
         raise ValueError("a power series in f requires f to have no constant term")
-    val = f.valuation()
-    if val is None:
-        return
-    power = f
-    yield power
-    for _ in range(1, f.truncation // val):
-        power = power * f
-        yield power
+    N = f.truncation
+    degree = f._key_degree
+    descending = f._descending
+    by_degree: dict[int, list] = {}
+    for key, c in f._terms.items():
+        by_degree.setdefault(degree(key), []).append((key, c))
+    f_parts = sorted(by_degree.items())
+    g_parts = [{(): Fraction(1)}]
+    for d in range(1, N + 1):
+        part: dict[tuple, Fraction] = {}
+        for j, f_j in f_parts:
+            if j > d:
+                break
+            g_rest = g_parts[d - j].items()
+            for key1, c in f_j:
+                for key2, e in g_rest:
+                    key = tuple(sorted(key1 + key2, reverse=descending))
+                    acc = part.get(key)
+                    part[key] = c * e if acc is None else acc + c * e
+        g_parts.append({key: c for key, c in part.items() if c})
+    terms: dict[tuple, Fraction] = {}
+    for part in g_parts:
+        terms.update(part)
+    return f._raw(N, terms)
 
 
 def log_inv(f):
     """-log(1 - f) = sum_{k>=1} f^k / k, truncated; f must have valuation >= 1.
 
     f may be a ``SymFunc`` or a ``WreathSymFunc``; the result has its type.
+    The Euler operator E, which multiplies the degree-d part by d, is a
+    derivation, so E(-log(1 - f)) = E(f) / (1 - f) = E(f) * geom(f): the
+    series is that one product with its degree-d part divided by d.
     """
-    out = type(f).zero(f.truncation)
-    for k, power in enumerate(_powers(f), start=1):
-        out = out + power * Fraction(1, k)
-    return out
-
-
-def geom(f):
-    """1/(1 - f) = sum_{k>=0} f^k, truncated; f must have valuation >= 1.
-
-    f may be a ``SymFunc`` or a ``WreathSymFunc``; the result has its type.
-    """
-    out = type(f).one(f.truncation)
-    for power in _powers(f):
-        out = out + power
-    return out
+    g = geom(f)
+    degree = f._key_degree
+    euler_f = f._raw(f.truncation, {key: c * degree(key) for key, c in f._terms.items()})
+    # f has no constant term, so neither has the product: no degree is 0
+    product = euler_f * g
+    return f._raw(f.truncation, {key: c / degree(key) for key, c in product._terms.items()})
 
 
 def _cyclic_sum(g):
     """The cycle index of cyclically ordered arrangements of g-structures:
-    sum_n (phi(n)/n) * (-log(1 - adams(n, g))), truncated, in g's ring."""
+    sum_n (phi(n)/n) * (-log(1 - adams(n, g))), truncated, in g's ring.
+
+    An Adams operation is a ring homomorphism that multiplies degrees by
+    n >= 1, so it commutes with truncation and with the log series: the sum
+    takes one logarithm L = -log(1 - g) and adds (phi(n)/n) * adams(n, L).
+    """
     N = g.truncation
+    log = log_inv(g)
     out = type(g).zero(N)
     for n in range(1, N + 1):
-        out = out + log_inv(adams(n, g)) * Fraction(euler_phi(n), n)
+        out = out + adams(n, log) * Fraction(euler_phi(n), n)
     return out
 
 

@@ -10,16 +10,33 @@ substitution caches each factor's image with the image's valuation, skips
 a monomial whose image valuations sum past N (a zero image counting as
 N + 1), and multiplies the images highest valuation first.  Every one of
 these shortcuts must give the same values as the reference.
+
+The log and geometric series are checked against their power-sum
+definitions, which build every power f, f^2, ... as a full truncated
+product: the program runs the recurrence g_d = sum_j f_j g_{d-j} for
+1/(1 - f), takes -log(1 - f) from one more product through the Euler
+operator, and sums the cyclic series over the Adams images of one
+logarithm.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from plethys.series import ModuleSpec, a_series
-from plethys.symfunc import SymFunc, _substitute, adams, plethysm
+from plethys.symfunc import (
+    SymFunc,
+    _cyclic_sum,
+    _substitute,
+    adams,
+    euler_phi,
+    geom,
+    log_inv,
+    plethysm,
+)
 from plethys.wreath import E_CLASS, WreathSymFunc, dih_series_closed, specialize_s2
-from test_properties import LAWS, legs, value_at, values
+from test_properties import ALGEBRAS, LAWS, coefficients, keys, legs, value_at, values
 
 # -- reference, not used by the program ---------------------------------------
 
@@ -98,6 +115,47 @@ def specialize_s2_ref(w, core, adot):
     return SymFunc(N, substitute_ref(w.terms(), image, N))
 
 
+def _powers(f):
+    """f, f^2, ..., f^K for the largest K with K * valuation(f) <= the
+    truncation, nothing for f = 0; f must have no constant term, so that
+    the series summed over these powers converge."""
+    if f.coefficient(()):
+        raise ValueError("a power series in f requires f to have no constant term")
+    val = f.valuation()
+    if val is None:
+        return
+    power = f
+    yield power
+    for _ in range(1, f.truncation // val):
+        power = power * f
+        yield power
+
+
+def log_inv_ref(f):
+    """-log(1 - f) = sum_{k>=1} f^k / k, truncated; f must have valuation >= 1."""
+    out = type(f).zero(f.truncation)
+    for k, power in enumerate(_powers(f), start=1):
+        out = out + power * Fraction(1, k)
+    return out
+
+
+def geom_ref(f):
+    """1/(1 - f) = sum_{k>=0} f^k, truncated; f must have valuation >= 1."""
+    out = type(f).one(f.truncation)
+    for power in _powers(f):
+        out = out + power
+    return out
+
+
+def cyclic_sum_ref(g):
+    """sum_n (phi(n)/n) * (-log(1 - adams(n, g))), one logarithm per n."""
+    N = g.truncation
+    out = type(g).zero(N)
+    for n in range(1, N + 1):
+        out = out + log_inv_ref(adams(n, g)) * Fraction(euler_phi(n), n)
+    return out
+
+
 # -- the comparisons ----------------------------------------------------------
 
 
@@ -172,3 +230,42 @@ def test_plethysm_skips_exactly_the_zero_products():
         assert g.valuation() is None or g.valuation() >= 2
         assert plethysm(f, g) == plethysm_ref(f, g)
     assert plethysm(f, SymFunc.zero(N)) == SymFunc.one(N) * 3
+
+
+@st.composite
+def series_argument(draw, cls):
+    """A value of cls at a truncation N <= 12 with valuation 1, 2 or 3."""
+    N = draw(st.integers(1, 12))
+    val = draw(st.integers(1, min(3, N)))
+    terms = draw(st.dictionaries(keys(cls, N, val), coefficients, max_size=4))
+    lowest = draw(keys(cls, val, val))
+    terms[lowest] = draw(coefficients.filter(bool))
+    f = cls(N, terms)
+    assert f.valuation() == val
+    return f
+
+
+@pytest.mark.parametrize("cls", ALGEBRAS)
+@LAWS
+@given(data=st.data())
+def test_series_match_the_power_sums(cls, data):
+    f = data.draw(series_argument(cls))
+    assert geom(f) == geom_ref(f)
+    assert log_inv(f) == log_inv_ref(f)
+    assert _cyclic_sum(f) == cyclic_sum_ref(f)
+
+
+@pytest.mark.parametrize("cls", ALGEBRAS)
+def test_series_of_zero_and_of_a_constant_term(cls):
+    for N in (1, 2, 12):
+        zero, one = cls.zero(N), cls.one(N)
+        p1 = SymFunc.p(1, N) if cls is SymFunc else WreathSymFunc.gen_p(1, N)
+        assert geom(zero) == geom_ref(zero) == one
+        assert log_inv(zero) == log_inv_ref(zero) == zero
+        assert _cyclic_sum(zero) == cyclic_sum_ref(zero) == zero
+        for f in (one, p1 - one * Fraction(1, 2)):
+            for call in (geom, log_inv, _cyclic_sum, geom_ref, log_inv_ref, cyclic_sum_ref):
+                with pytest.raises(
+                    ValueError, match="^a power series in f requires f to have no constant term$"
+                ):
+                    call(f)

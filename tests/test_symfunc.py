@@ -57,6 +57,13 @@ def test_partitions_match_brute_force():
         assert len(partitions_of(n)) == len(set(partitions_of(n)))
 
 
+@pytest.mark.parametrize("bad", [-1, True, False, 2.0, "3"])
+def test_partitions_of_rejects_non_ints(bad):
+    # True is an int, but not a size; 0 stays the one size with the empty partition
+    with pytest.raises(ValueError, match=f"^n must be a nonnegative integer, got {bad!r}$"):
+        partitions_of(bad)
+
+
 def test_partitions_reverse_lex_order():
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     for n in range(9):
@@ -87,6 +94,12 @@ def test_euler_phi_examples():
     assert euler_phi(1) == 1
     assert euler_phi(6) == 2
     assert euler_phi(12) == 4
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 2.5, 2.0])
+def test_euler_phi_rejects_non_positive_ints(bad):
+    with pytest.raises(ValueError, match=f"^n must be a positive integer, got {bad!r}$"):
+        euler_phi(bad)
 
 
 def test_euler_phi_unit_count_oracle():
@@ -257,6 +270,13 @@ def test_d_operator_composition():
         g = random_symfunc(rng, N)
         assert d_operator(SymFunc.p(1, N), g) == partial_p(1, g)
         assert d_operator(f1 * f2, g) == d_operator(f1, d_operator(f2, g))
+
+
+@pytest.mark.parametrize("bad", [-1, True, False, 2.0])
+def test_power_rejects_non_int_exponents(bad):
+    for f in (SymFunc.p(1, 3), random_wreath(random.Random(5), 3)):
+        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+            f**bad
 
 
 def test_log_inv_and_geom():
