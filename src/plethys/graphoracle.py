@@ -54,7 +54,7 @@ from itertools import combinations, permutations, product
 
 from .groups import Perm, ind_trivial_char
 from .series import ModuleSpec
-from .symfunc import SymFunc, _validate_partition, partitions_of, z_of
+from .symfunc import SymFunc, _check_int, _validate_partition, partitions_of, z_of
 
 MARK_NONE = 0
 MARK_PREV = 1
@@ -573,11 +573,6 @@ def _fill_shape(spec, shape, E, leg_labels):
         yield from _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, connected)
 
 
-def _check_leg_count(n):
-    if type(n) is not int or n < 1:
-        raise ValueError("enumeration needs at least one labeled leg")
-
-
 def enumerate_decorated(spec: ModuleSpec, family: str, n: int):
     """All isomorphism classes in the family with legs labeled 1..n (rooted
     trees carry an extra distinguished leg 0).
@@ -585,7 +580,7 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int):
     Returns a new dict from canonical form to a representative graph,
     ordered by canonical form.
     """
-    _check_leg_count(n)
+    _check_int(n, "n")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "genus1-stable":
@@ -670,7 +665,7 @@ def _aut_char(graphs, truncation: int) -> SymFunc:
 
 def _check_char_degree(n, truncation):
     """Each character oracle's input check, run before any census is built."""
-    _check_leg_count(n)
+    _check_int(n, "n")
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
 

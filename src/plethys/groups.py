@@ -14,13 +14,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .symfunc import Partition, SymFunc
+from .symfunc import Partition, SymFunc, _check_int, _is_int
 from .wreath import E_CLASS, T_CLASS, WreathSymFunc
-
-
-def _check_degree(n: int) -> None:
-    if type(n) is not int or n < 1:
-        raise ValueError("n must be a positive integer")
 
 
 class Perm:
@@ -41,19 +36,19 @@ class Perm:
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
-        _check_degree(n)
+        _check_int(n, "n")
         return cls(range(1, n + 1))
 
     @classmethod
     def long_cycle(cls, n: int) -> "Perm":
         """The n-cycle sending 1 -> 2 -> ... -> n -> 1."""
-        _check_degree(n)
+        _check_int(n, "n")
         return cls(tuple(range(2, n + 1)) + (1,))
 
     @classmethod
     def reversal(cls, n: int) -> "Perm":
         """The involution i -> n + 1 - i."""
-        _check_degree(n)
+        _check_int(n, "n")
         return cls(range(n, 0, -1))
 
     @property
@@ -103,10 +98,11 @@ def cycle_type(x: Perm) -> Partition:
 def signed_perm(signs, perm: Perm) -> Perm:
     """The element of S_2 wr S_n sending e*i to e*signs[perm(i)]*perm(i),
     e = +-1.  Products follow ``(s, x) * (t, y) = (s . x(t), x y)``, where
-    ``x(t)`` moves the sign at position i to position x(i)."""
+    ``x(t)`` moves the sign at position i to position x(i).  A sign other
+    than the ``int`` 1 or -1, ``True`` included, is a ``ValueError``."""
     signs = tuple(signs)
-    if any(s not in (1, -1) for s in signs):
-        raise ValueError(f"signs must be +1/-1, got {signs!r}")
+    if not all(_is_int(s) and s in (1, -1) for s in signs):
+        raise ValueError(f"signs must be the ints 1 and -1, got {signs!r}")
     n = perm.degree
     if len(signs) != n:
         raise ValueError("sign vector and permutation degree mismatch")

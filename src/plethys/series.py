@@ -21,10 +21,13 @@ paper's route, which ``tests/test_series.py`` checks against ``b1_series``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .symfunc import (
     Partition,
     SymFunc,
     _cyclic_sum,
+    _is_int,
     _necklace_formula,
     _validate_partition,
     h_lambda,
@@ -41,8 +44,10 @@ class ModuleSpecError(ValueError):
 class ModuleSpec:
     """Per-arity lists of Young permutation modules for genus 0 and 1.
 
-    Genus-0 entries exist only for arity >= 3 and genus-1 entries for
-    arity >= 1 (the stability range); each partition must sum to its arity.
+    Each section maps ``int`` arities to lists of partitions, each summing
+    to its arity: genus 0 from arity 3 and genus 1 from arity 1 (the
+    stability range).  Anything else, a ``bool`` arity included, raises
+    ``ModuleSpecError``.
     """
 
     __slots__ = ("genus0", "genus1")
@@ -57,13 +62,18 @@ class ModuleSpec:
     @staticmethod
     def _clean(data, min_arity: int, label: str) -> dict:
         clean: dict[int, tuple[Partition, ...]] = {}
-        if not data:
+        if data is None:
             return clean
+        if not isinstance(data, Mapping):
+            raise ModuleSpecError(f"{label} must be a mapping from arities, got {data!r}")
         for n, lams in data.items():
-            if not isinstance(n, int) or n < min_arity:
+            if not _is_int(n) or n < min_arity:
                 raise ModuleSpecError(
                     f"{label} arity must be an integer >= {min_arity}, got {n!r}"
                 )
+            seqs = (list, tuple)
+            if not isinstance(lams, seqs) or not all(isinstance(lam, seqs) for lam in lams):
+                raise ModuleSpecError(f"{label}[{n}] must be a list of partitions, got {lams!r}")
             entries = []
             for lam in lams:
                 try:
@@ -131,9 +141,7 @@ class ModuleSpec:
                     raise ModuleSpecError(f"{section} key of {len(key)} digits is too long")
                 if n in out:
                     raise ModuleSpecError(f"{section} key {key!r} repeats arity {n}")
-                if not isinstance(lams, list) or not all(isinstance(lam, list) for lam in lams):
-                    raise ModuleSpecError(f"{section}[{key}] must be a list of partitions")
-                out[n] = [tuple(lam) for lam in lams]
+                out[n] = lams
             return out
 
         return cls(genus0=parse("genus0"), genus1=parse("genus1"))
@@ -141,13 +149,11 @@ class ModuleSpec:
 
 def a_series(spec: ModuleSpec, genus: int, truncation: int) -> SymFunc:
     """Generating function of the test module in the given genus: the sum
-    over arities n <= truncation of the characters h_lam of its summands."""
-    if genus == 0:
-        data = spec.genus0
-    elif genus == 1:
-        data = spec.genus1
-    else:
-        raise ValueError("genus must be 0 or 1")
+    over arities n <= truncation of the characters h_lam of its summands.
+    A genus other than the ``int`` 0 or 1 (``False`` included) is a ``ValueError``."""
+    if not _is_int(genus) or genus not in (0, 1):
+        raise ValueError(f"genus must be 0 or 1, got {genus!r}")
+    data = spec.genus1 if genus else spec.genus0
     out = SymFunc.zero(truncation)
     for n, lams in data.items():
         if n > truncation:

@@ -23,8 +23,10 @@ partitions: ``SymFunc`` supplies the partition keys, and
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import groupby
+from math import factorial, prod
 from operator import itemgetter
 
 Partition = tuple
@@ -35,21 +37,28 @@ def partition_sort_key(lam: Partition):
     return (sum(lam), tuple(-part for part in lam))
 
 
+def _is_int(value) -> bool:
+    # every input's integer test: True is an int subclass, and 2.0 == 2
+    return type(value) is int
+
+
+def _check_int(value, name: str, least: int = 1) -> int:
+    """``value``, if it is an ``int`` of at least ``least`` (1 or 0), else ``ValueError``."""
+    if not _is_int(value) or value < least:
+        raise ValueError(
+            f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}"
+        )
+    return value
+
+
 def _validate_partition(lam) -> Partition:
     lam = tuple(lam)
     for i, part in enumerate(lam):
-        # bool is an int subclass, but JSON true is not a part
-        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
+        if not _is_int(part) or part < 1:
             raise ValueError(f"partition parts must be positive integers, got {lam!r}")
         if i and lam[i - 1] < part:
             raise ValueError(f"partition parts must be weakly decreasing, got {lam!r}")
     return lam
-
-
-def _check_positive_int(value, name: str) -> None:
-    # bool is an int subclass, but True is not an index or a truncation
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def partitions_of(n: int) -> tuple[Partition, ...]:
@@ -57,8 +66,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
     The empty partition is the unique partition of 0.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    _check_int(n, "n", least=0)
     out = []
 
     def extend(remaining, largest, prefix):
@@ -78,21 +86,13 @@ def z_of(lam: Partition) -> int:
     A permutation of cycle type lam has n!/z_lam conjugates; 1/z_lam is the
     coefficient weight used when expanding h_n over partitions.
     """
-    lam = _validate_partition(lam)
-    z = 1
-    mult: dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part**m
-        for j in range(2, m + 1):
-            z *= j
-    return z
+    runs = [(part, len(list(run))) for part, run in groupby(_validate_partition(lam))]
+    return prod(part**m * factorial(m) for part, m in runs)
 
 
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
-    _check_positive_int(n, "n")
+    _check_int(n, "n")
     result = n
     m = n
     p = 2
@@ -108,9 +108,10 @@ def euler_phi(n: int) -> int:
 
 
 def _as_fraction(value) -> Fraction:
+    """An ``int`` or ``Fraction`` coefficient; else ``TypeError``, ``bool`` included."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
@@ -140,7 +141,7 @@ class _TruncatedSeries:
     __slots__ = ("truncation", "_terms")
 
     def __init__(self, truncation: int, terms=None):
-        _check_positive_int(truncation, "truncation")
+        _check_int(truncation, "truncation")
         clean: dict[tuple, Fraction] = {}
         if terms:
             for key, coeff in terms.items() if hasattr(terms, "items") else terms:
@@ -182,7 +183,7 @@ class _TruncatedSeries:
     def _generator(cls, factor, k: int, truncation: int):
         """The monomial of the single factor of degree k (zero if k exceeds
         the truncation)."""
-        _check_positive_int(k, "generator index")
+        _check_int(k, "generator index")
         if k > truncation:
             return cls.zero(truncation)
         return cls(truncation, {(factor,): Fraction(1)})
@@ -217,7 +218,7 @@ class _TruncatedSeries:
         """The same value carried at a lower truncation (terms above it
         are dropped).  Raising the truncation is refused: the discarded
         degrees are not recoverable."""
-        _check_positive_int(new_truncation, "truncation")
+        _check_int(new_truncation, "truncation")
         if new_truncation > self.truncation:
             raise ValueError(
                 f"cannot raise truncation {self.truncation} to {new_truncation}"
@@ -293,8 +294,7 @@ class _TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        _check_int(exponent, "exponent", least=0)
         out = self.one(self.truncation)
         for _ in range(exponent):
             out = out * self
@@ -348,16 +348,17 @@ class _TruncatedSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict):
-        return cls(
-            obj["truncation"],
-            [
-                (
-                    cls._key_from_json(entry[cls._json_field]),
-                    Fraction(int(entry["num"]), int(entry["den"])),
-                )
-                for entry in obj["terms"]
-            ],
-        )
+        """The value ``to_json_obj`` wrote; a ``num`` or ``den`` other than
+        the decimal strings it writes, or a zero ``den``, is a ``ValueError``."""
+        terms = []
+        for entry in obj["terms"]:
+            num, den = entry["num"], entry["den"]
+            # int() alone would also read 1.5 and true as 1, and take " 3", "+3" and "1_0"
+            text = f"{num}/{den}" if type(num) is type(den) is str else ""
+            if not re.fullmatch("-?[0-9]+/0*[1-9][0-9]*", text):
+                raise ValueError(f"num/den must be decimal strings, den not 0, got {num!r}/{den!r}")
+            terms.append((cls._key_from_json(entry[cls._json_field]), Fraction(int(num), int(den))))
+        return cls(obj["truncation"], terms)
 
 
 class SymFunc(_TruncatedSeries):
@@ -395,7 +396,7 @@ class SymFunc(_TruncatedSeries):
 
 def h_gen(n: int, truncation: int) -> SymFunc:
     """The complete homogeneous symmetric function h_n = sum p_lam / z_lam."""
-    _check_positive_int(n, "n")
+    _check_int(n, "n")
     if n > truncation:
         raise ValueError(f"h_{n} exceeds truncation {truncation}")
     return SymFunc._raw(
@@ -416,7 +417,7 @@ def adams(k: int, f):
     """k-th Adams operation: substitute p_j -> p_{jk} (P_j -> P_{jk} and
     Q_j -> Q_{jk} for a ``WreathSymFunc``, the result having f's type);
     degrees multiply by k."""
-    _check_positive_int(k, "Adams index")
+    _check_int(k, "Adams index")
     N = f.truncation
     degree = f._key_degree
     scale = f._scale_key
@@ -477,7 +478,7 @@ def _substitute(terms, image, truncation: int) -> SymFunc:
 
 def partial_p(k: int, f: SymFunc) -> SymFunc:
     """Formal partial derivative with respect to p_k."""
-    _check_positive_int(k, "derivative index")
+    _check_int(k, "derivative index")
     terms: dict[Partition, Fraction] = {}
     for lam, c in f._terms.items():
         m = lam.count(k)

@@ -28,7 +28,7 @@ from .series import (
     second_leg_series,
     working_truncation,
 )
-from .symfunc import SymFunc, d_operator, h_gen, h_lambda
+from .symfunc import SymFunc, _check_int, d_operator, h_gen, h_lambda
 from .wreath import dih_series_closed, specialize_s2
 
 
@@ -213,16 +213,16 @@ _RUNNERS = {
 def run_suite(name: str, spec: ModuleSpec | None = None, max_degree: int | None = None) -> SuiteResult:
     """Run one suite on ``spec`` (the standard module by default) at
     ``max_degree`` (the suite's own default degree by default), which must
-    be an ``int`` (not a ``bool``) of at least 1.  Each census it
-    enumerates has as many legs as the degree it checks."""
+    be an ``int`` of at least 1: anything else, ``True`` and ``2.0``
+    included, raises ``ValueError``.  Each census it enumerates has as
+    many legs as the degree it checks."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES} or 'all'")
-    if max_degree is not None and (type(max_degree) is not int or max_degree < 1):
-        raise ValueError(f"max_degree must be >= 1 and an int, got {max_degree!r}")
-    if spec is None:
-        spec = ModuleSpec.standard()
     if max_degree is None:
         max_degree = SUITE_DEFAULT_DEGREE[name]
+    _check_int(max_degree, "max_degree")
+    if spec is None:
+        spec = ModuleSpec.standard()
     return _RUNNERS[name](spec, max_degree)
 
 

@@ -30,7 +30,7 @@ from itertools import groupby
 from .symfunc import (
     SymFunc,
     _TruncatedSeries,
-    _check_positive_int,
+    _check_int,
     _necklace_formula,
     _substitute,
     adams,
@@ -45,7 +45,7 @@ WreathMonomial = tuple  # sorted tuple of (k, class-tag) pairs
 def _validate_monomial(key) -> WreathMonomial:
     key = tuple(key)
     for k, tag in key:
-        _check_positive_int(k, "generator index")
+        _check_int(k, "generator index")
         if tag not in (E_CLASS, T_CLASS):
             raise ValueError(f"class tag must be {E_CLASS!r} or {T_CLASS!r}, got {key!r}")
     return tuple(sorted(key))
@@ -69,7 +69,8 @@ def _grouped_key(key: WreathMonomial) -> list:
 
 
 def _ungrouped_key(groups) -> WreathMonomial:
-    return tuple(f for g in groups for f in [(g["k"], g["class"])] * g["exp"])
+    # a list times True, 0 or -1 would keep one factor or none
+    return tuple(f for g in groups for f in [(g["k"], g["class"])] * _check_int(g["exp"], "exp"))
 
 
 class WreathSymFunc(_TruncatedSeries):

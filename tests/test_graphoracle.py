@@ -211,10 +211,11 @@ def test_enumerate_examples():
     with pytest.raises(ValueError):
         enumerate_decorated(TINY, "genus1-stable", 0)
     # True is an int but not a leg count
-    with pytest.raises(ValueError, match="at least one labeled leg"):
-        enumerate_decorated(STD, "necklace", True)
-    with pytest.raises(ValueError, match="at least one labeled leg"):
-        go.necklace_char_oracle(STD, True, 3)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {bad!r}$"):
+            enumerate_decorated(STD, "necklace", bad)
+        with pytest.raises(ValueError, match=f"^n must be a positive integer, got {bad!r}$"):
+            go.necklace_char_oracle(STD, bad, 3)
     with pytest.raises(ValueError):
         enumerate_decorated(TINY, "bogus-family", 1)
 
@@ -282,7 +283,7 @@ def test_labeled_oracles_check_degree_before_enumerating(monkeypatch):
         with pytest.raises(ValueError, match="degree 4 exceeds truncation 3"):
             oracle(STD, 4, 3)
         for n in (0, True):
-            with pytest.raises(ValueError, match="at least one labeled leg"):
+            with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n!r}$"):
                 oracle(STD, n, 3)
 
 

@@ -122,6 +122,11 @@ def test_signed_perm_rejects_bad_input():
         signed_perm((1, 0), Perm.identity(2))
     with pytest.raises(ValueError):
         signed_perm((1,), Perm.identity(2))
+    # True == 1 and 1.0 == 1, but neither is a sign
+    for signs in ((True,), (1.0,), (-1.0,), (1, True)):
+        with pytest.raises(ValueError, match="^signs must be the ints 1 and -1"):
+            signed_perm(signs, Perm.identity(len(signs)))
+    assert signed_perm((1, -1), Perm.identity(2)) == Perm((1, 4, 3, 2))
 
 
 def test_signed_cycle_monomial_matches_sign_products():

@@ -5,9 +5,10 @@ series layer and ring arithmetic from ``symfunc``, but none of the
 operations that build the closed series: no plethysm, no Adams operation,
 no complete or power-sum generating series, nothing from ``wreath`` and
 nothing else from ``series``.  ``groups``, the side of the ``bb`` and
-``generating`` averages, takes only the ring types and class tags:
-``Partition`` and ``SymFunc`` from ``symfunc``, ``E_CLASS``, ``T_CLASS``
-and ``WreathSymFunc`` from ``wreath``.  In the other direction, the
+``generating`` averages, takes only the ring types, class tags and the
+shared integer check: ``Partition``, ``SymFunc``, ``_check_int`` and
+``_is_int`` from ``symfunc``, ``E_CLASS``, ``T_CLASS`` and
+``WreathSymFunc`` from ``wreath``.  In the other direction, the
 closed-form layers ``symfunc``, ``wreath`` and ``series`` import nothing
 from the group averages, the censuses, the suites or the command line.
 The checks read the modules' import statements, so they hold however the
@@ -27,6 +28,8 @@ SERIES_ALLOWED = {"ModuleSpec"}
 GROUPS_ALLOWED = {
     ("symfunc", "Partition"),
     ("symfunc", "SymFunc"),
+    ("symfunc", "_check_int"),
+    ("symfunc", "_is_int"),
     ("wreath", "E_CLASS"),
     ("wreath", "T_CLASS"),
     ("wreath", "WreathSymFunc"),

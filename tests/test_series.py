@@ -35,6 +35,25 @@ def test_module_spec_validation():
         ModuleSpec(genus0={3: [(2,)]})  # partition does not sum to arity
     with pytest.raises(ModuleSpecError):
         ModuleSpec(genus0={3: [(1, 2)]})  # not weakly decreasing
+    # True == 1, but it is not an arity
+    with pytest.raises(ModuleSpecError, match="^genus1 arity must be an integer >= 1, got True$"):
+        ModuleSpec(genus1={True: [(1,)]})
+    with pytest.raises(ModuleSpecError, match="^genus0 arity must be an integer >= 3, got 3.0$"):
+        ModuleSpec(genus0={3.0: [(3,)]})
+
+
+@pytest.mark.parametrize("section", ["abc", [(3, [(3,)])], (), 5])
+def test_module_spec_refuses_a_section_that_is_not_a_mapping(section):
+    with pytest.raises(ModuleSpecError, match="^genus0 must be a mapping from arities"):
+        ModuleSpec(genus0=section)
+
+
+@pytest.mark.parametrize("lams", [5, "3", [5], [(3,), 3], {(3,): 1}, None])
+def test_module_spec_refuses_an_arity_that_is_not_a_list_of_partitions(lams):
+    with pytest.raises(ModuleSpecError, match=r"^genus0\[3\] must be a list of partitions"):
+        ModuleSpec(genus0={3: lams})
+    # lists and tuples of lists and tuples all read alike
+    assert ModuleSpec(genus0={3: ([3],)}) == ModuleSpec(genus0={3: [(3,)]})
 
 
 def test_module_spec_json_roundtrip():
@@ -80,6 +99,10 @@ def test_a_series_examples():
     assert a_series(empty, 1, N) == SymFunc.zero(N)
     with pytest.raises(ValueError):
         a_series(empty, 2, N)
+    # False == 0 and 1.0 == 1, but neither is a genus
+    for bad in (False, True, 0.0, 1.0):
+        with pytest.raises(ValueError, match=f"^genus must be 0 or 1, got {bad!r}$"):
+            a_series(spec, bad, N)
 
 
 def test_a_series_truncates_high_arity():

@@ -275,7 +275,7 @@ def test_d_operator_composition():
 @pytest.mark.parametrize("bad", [-1, True, False, 2.0])
 def test_power_rejects_non_int_exponents(bad):
     for f in (SymFunc.p(1, 3), random_wreath(random.Random(5), 3)):
-        with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        with pytest.raises(ValueError, match=f"^exponent must be a nonnegative integer, got {bad!r}$"):
             f**bad
 
 
@@ -344,6 +344,38 @@ def test_json_roundtrip_and_order():
     assert keys == sorted(keys)
     # numerators and denominators serialize as decimal strings
     assert all(isinstance(t["num"], str) and isinstance(t["den"], str) for t in obj["terms"])
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(1.5, 2.0), (1, "2"), ("1", 2), (True, "1"), ("1", True), ("1", "0"), ("1", "00"),
+     ("1", "-2"), (" 3", "1"), ("+3", "1"), ("1_0", "1"), ("\uff13", "1"), ("-", "1"), ("", "1")],
+)
+def test_from_json_obj_reads_only_decimal_strings(num, den):
+    # int() would read 1.5 as 1 and true as 1, and "0" would divide by zero
+    obj = {"truncation": 2, "terms": [{"partition": [1], "num": num, "den": den}]}
+    with pytest.raises(ValueError, match="^num/den must be decimal strings, den not 0, got "):
+        SymFunc.from_json_obj(obj)
+
+
+def test_from_json_obj_reads_what_to_json_obj_writes():
+    obj = {"truncation": 2, "terms": [{"partition": [1], "num": "-3", "den": "2"}]}
+    assert SymFunc.from_json_obj(obj) == SymFunc.p(1, 2) * Fraction(-3, 2)
+    obj["terms"][0].update(num="0", den="7")
+    assert SymFunc.from_json_obj(obj) == SymFunc.zero(2)
+
+
+def test_coefficients_are_ints_or_fractions():
+    f = SymFunc.p(1, 3)
+    w = WreathSymFunc.gen_p(1, 3)
+    for bad in (True, False, 1.0, 0.5):
+        for build in (lambda: SymFunc(3, {(1,): bad}), lambda: WreathSymFunc(3, {((1, "e"),): bad})):
+            with pytest.raises(TypeError, match="coefficients must be exact rationals"):
+                build()
+        for product in (lambda: f * bad, lambda: bad * f, lambda: w * bad, lambda: bad * w):
+            with pytest.raises(TypeError):
+                product()
+    assert f * 2 == 2 * f == f * Fraction(2) == SymFunc(3, {(1,): 2})
 
 
 def test_str_rendering():

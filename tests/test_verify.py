@@ -116,9 +116,10 @@ def test_suite_rejects_degrees_below_one(monkeypatch, suite, max_degree):
 
     for name in verify.SUITE_NAMES:
         monkeypatch.setitem(verify._RUNNERS, name, refuse)
-    with pytest.raises(ValueError, match="max_degree must be >= 1"):
+    message = f"^max_degree must be a positive integer, got {max_degree!r}$"
+    with pytest.raises(ValueError, match=message):
         verify.run_suite(suite, max_degree=max_degree)
-    with pytest.raises(ValueError, match="max_degree must be >= 1"):
+    with pytest.raises(ValueError, match=message):
         verify.run_all(max_degree=max_degree)
 
 

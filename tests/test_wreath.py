@@ -235,6 +235,14 @@ def test_json_roundtrip_and_canonical_key_order():
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("exp", [True, 0, -1, 1.0])
+def test_from_json_obj_refuses_bad_exponents(exp):
+    # a list times True, 0 or -1 would keep one factor or none
+    obj = {"truncation": 2, "terms": [{"key": [{"k": 1, "class": "e", "exp": exp}], "num": "1", "den": "1"}]}
+    with pytest.raises(ValueError, match=f"^exp must be a positive integer, got {exp!r}$"):
+        WreathSymFunc.from_json_obj(obj)
+
+
 def test_str_rendering():
     N = 4
     assert str(WreathSymFunc.zero(N)) == "0"
