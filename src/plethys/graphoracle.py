@@ -483,46 +483,44 @@ def _least_up_to_symmetry(comp, oriented: bool) -> bool:
     return all(comp <= s[i:] + s[:i] for s in shapes for i in range(len(s)))
 
 
-def _vertex_shapes(prof0, prof1, V, total, uses_g1):
-    """The (genus, valence) layouts of V vertices with valences summing to
-    ``total``: the genus-1 vertex first when ``uses_g1``, then genus-0
-    valences in non-decreasing order."""
-    head = (prof1,) if uses_g1 else ()
-    g = len(head)
-    genus = (1,) * g + (0,) * (V - g)
-    for valences in _sums(head + (prof0,) * (V - g), total):
-        rest = valences[g:]
-        if all(a <= b for a, b in zip(rest, rest[1:])):
+def _vertex_shapes(prof0, prof1, V, total, heads):
+    """The (genus, valence) layouts of V >= ``heads`` vertices with valences
+    summing to ``total``: ``heads`` genus-1 vertices first, then genus-0
+    ones, the valences non-decreasing within each genus."""
+    genus = (1,) * heads + (0,) * (V - heads)
+    for valences in _sums((prof1,) * heads + (prof0,) * (V - heads), total):
+        runs = (valences[:heads], valences[heads:])
+        if all(a <= b for run in runs for a, b in zip(run, run[1:])):
             yield tuple(zip(genus, valences))
 
 
-def _matching_graphs(spec: ModuleSpec, leg_labels, total_genus_one: bool):
-    """Connected decorated graphs built from raw perfect matchings of
-    internal ports, isomorphic ones included.
+def _matching_graphs(spec: ModuleSpec, leg_labels, total_genus: int):
+    """Connected decorated graphs of total genus ``total_genus`` built from
+    raw perfect matchings of internal ports, isomorphic ones included.
 
-    ``total_genus_one`` selects graphs of total genus one (either one
-    genus-1 vertex on a tree, or all genus 0 with one cycle); otherwise
-    genus-0 trees (the rooted-tree family, whose leg labels include 0).
+    A graph with h genus-1 vertices and first Betti number total_genus - h
+    has that total genus; h runs from ``total_genus`` down to 0.  Genus
+    one is the genus1-stable family, genus 0 the rooted-tree family (whose
+    leg labels include 0).
     """
     nlegs = len(leg_labels)
     prof0 = tuple(sorted(m for m, lams in spec.genus0.items() if lams))
     prof1 = tuple(sorted(m for m, lams in spec.genus1.items() if lams))
-    cases = [(True, 0), (False, 1)] if total_genus_one else [(False, 0)]
-    for uses_g1, b1 in cases:
-        if uses_g1 and not prof1:
+    for heads in range(total_genus, -1, -1):
+        if not (prof1 if heads else prof0):
             continue
-        if not uses_g1 and not prof0:
-            continue
-        V = 1
+        b1 = total_genus - heads
+        # the least valence sum of the genus-1 vertices
+        head_need = heads * prof1[0] if heads else 0
+        V = max(heads, 1)
         while True:
             # a connected graph on V vertices with E = V - 1 + b1 edges has
             # first Betti number b1
             E = V - 1 + b1
             need = 2 * E + nlegs
-            min_need = 3 * (V - 1) + prof1[0] if uses_g1 else 3 * V
-            if min_need > need:
+            if head_need + 3 * (V - heads) > need:
                 break
-            for shape in _vertex_shapes(prof0, prof1, V, need, uses_g1):
+            for shape in _vertex_shapes(prof0, prof1, V, need, heads):
                 yield from _fill_shape(spec, shape, E, leg_labels)
             V += 1
 
@@ -584,9 +582,9 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if family == "genus1-stable":
-        graphs = _matching_graphs(spec, tuple(range(1, n + 1)), True)
+        graphs = _matching_graphs(spec, tuple(range(1, n + 1)), 1)
     elif family == "rooted-tree":
-        graphs = _matching_graphs(spec, tuple(range(0, n + 1)), False)
+        graphs = _matching_graphs(spec, tuple(range(0, n + 1)), 0)
     else:
         graphs = _necklace_graphs(spec, n, family == "oriented-necklace", labeled=True)
     census: dict = {}

@@ -348,10 +348,18 @@ class _TruncatedSeries:
 
     @classmethod
     def from_json_obj(cls, obj: dict):
-        """The value ``to_json_obj`` wrote; a ``num`` or ``den`` other than
-        the decimal strings it writes, or a zero ``den``, is a ``ValueError``."""
+        """The value ``to_json_obj`` wrote.  Another shape (a missing field,
+        ``terms`` not a list, a term not an object), a ``num`` or ``den``
+        other than the decimal strings it writes, or a zero ``den``, is a
+        ``ValueError``."""
+        fields = (cls._json_field, "num", "den")
+        entries = obj.get("terms") if isinstance(obj, dict) else None
+        if not isinstance(entries, list) or "truncation" not in obj or not all(
+            isinstance(entry, dict) and all(f in entry for f in fields) for entry in entries
+        ):
+            raise ValueError(f"series JSON needs 'truncation' and a list 'terms' of objects with {fields}")
         terms = []
-        for entry in obj["terms"]:
+        for entry in entries:
             num, den = entry["num"], entry["den"]
             # int() alone would also read 1.5 and true as 1, and take " 3", "+3" and "1_0"
             text = f"{num}/{den}" if type(num) is type(den) is str else ""
@@ -517,36 +525,24 @@ def geom(f):
 
     f may be a ``SymFunc`` or a ``WreathSymFunc``; the result has its type.
     It is computed degree by degree from g = 1 + f g: g_0 = 1 and
-    g_d = sum_{j=1..d} f_j g_{d-j}, f_j and g_j being the degree-j parts.
-    Each pair of a term of f and a term of g is multiplied once, which is
-    one truncated product's worth of work.
+    g_d = sum_{j=1..d} f_j g_{d-j}, f_j and g_j being the degree-j parts,
+    each term a ring product of two homogeneous parts.  Each pair of a
+    term of f and a term of g is multiplied once, which is one truncated
+    product's worth of work.
     """
     if f.coefficient(()):
         raise ValueError("a power series in f requires f to have no constant term")
     N = f.truncation
-    degree = f._key_degree
-    descending = f._descending
-    by_degree: dict[int, list] = {}
-    for key, c in f._terms.items():
-        by_degree.setdefault(degree(key), []).append((key, c))
-    f_parts = sorted(by_degree.items())
-    g_parts = [{(): Fraction(1)}]
+    f_parts = [(j, f.degree_part(j)) for j in range(1, N + 1)]
+    f_parts = [(j, f_j) for j, f_j in f_parts if not f_j.is_zero()]
+    g_parts = [f.one(N)]
     for d in range(1, N + 1):
-        part: dict[tuple, Fraction] = {}
+        g_d = f.zero(N)
         for j, f_j in f_parts:
-            if j > d:
-                break
-            g_rest = g_parts[d - j].items()
-            for key1, c in f_j:
-                for key2, e in g_rest:
-                    key = tuple(sorted(key1 + key2, reverse=descending))
-                    acc = part.get(key)
-                    part[key] = c * e if acc is None else acc + c * e
-        g_parts.append({key: c for key, c in part.items() if c})
-    terms: dict[tuple, Fraction] = {}
-    for part in g_parts:
-        terms.update(part)
-    return f._raw(N, terms)
+            if j <= d:
+                g_d = g_d + f_j * g_parts[d - j]
+        g_parts.append(g_d)
+    return sum(g_parts[1:], g_parts[0])
 
 
 def log_inv(f):

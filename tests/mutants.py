@@ -1,0 +1,134 @@
+"""A catalogue of mutants: each breaks one shortcut of the engine, and the
+tests named with it must catch the break.
+
+An entry names a file (relative to the repository root), a snippet that
+occurs exactly once in it, the snippet's replacement, and the pytest node
+ids that must all fail once the replacement is made.  ``test_mutants.py``
+checks in the tier-1 run that every snippet occurs exactly once and every
+named test exists, so a refactor that moves a snippet must re-point its
+mutant.
+
+Run as a script, this file applies each mutant to a temporary copy of
+``src`` and ``tests``, runs the mutant's node ids there in a fresh
+process, and exits 1 if any mutant survives (a named test passes, or the
+run does not get as far as failing every one)::
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    must_fail: tuple
+
+
+# geom, log_inv and _cyclic_sum against their power-sum references
+SERIES_REFERENCES = (
+    "tests/test_reference_algebra.py::test_series_match_the_power_sums[SymFunc]",
+    "tests/test_reference_algebra.py::test_series_match_the_power_sums[WreathSymFunc]",
+)
+GEOM_LAWS = (
+    "tests/test_properties.py::test_geom_inverts_one_minus[SymFunc]",
+    "tests/test_properties.py::test_geom_inverts_one_minus[WreathSymFunc]",
+    "tests/test_symfunc.py::test_log_geom_inverse_relation",
+)
+
+MUTANTS = (
+    Mutant(
+        "geom: the recurrence drops the f_d * g_0 term",
+        "src/plethys/symfunc.py",
+        "            if j <= d:\n",
+        "            if j < d:\n",
+        SERIES_REFERENCES + GEOM_LAWS,
+    ),
+    Mutant(
+        "geom: the recurrence starts at g_0 = 0",
+        "src/plethys/symfunc.py",
+        "    g_parts = [f.one(N)]\n",
+        "    g_parts = [f.zero(N)]\n",
+        SERIES_REFERENCES + GEOM_LAWS,
+    ),
+    Mutant(
+        "log_inv: the degree-d part is not divided by d",
+        "src/plethys/symfunc.py",
+        "{key: c / degree(key) for key, c in product._terms.items()}",
+        "{key: c for key, c in product._terms.items()}",
+        SERIES_REFERENCES
+        + (
+            "tests/test_properties.py::test_exp_of_log_inv_is_geom[SymFunc]",
+            "tests/test_properties.py::test_exp_of_log_inv_is_geom[WreathSymFunc]",
+            "tests/test_symfunc.py::test_log_inv_and_geom",
+            "tests/test_wreath.py::test_log_inv_geom_on_wreath",
+        ),
+    ),
+    Mutant(
+        "_cyclic_sum: adds adams(1, L) in place of adams(n, L)",
+        "src/plethys/symfunc.py",
+        "out = out + adams(n, log) * Fraction(euler_phi(n), n)",
+        "out = out + adams(1, log) * Fraction(euler_phi(n), n)",
+        SERIES_REFERENCES
+        + (
+            "tests/test_wreath.py::test_dih_series_closed_small",
+            "tests/test_series.py::test_cyclic_necklace_series_examples",
+        ),
+    ),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Make ``mutant``'s replacement in the copy of the repository at ``root``."""
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.name}: the snippet must occur exactly once in {mutant.path}")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(killed, pytest's summary line) for ``mutant`` on a temporary copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        apply(mutant, copy)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.must_fail],
+            cwd=copy,
+            env={**os.environ, "PYTHONPATH": str(copy / "src")},
+            capture_output=True,
+            text=True,
+        )
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else proc.stderr.strip()
+    # exit code 1 is "tests ran and some failed"; a collection error is not a kill
+    return proc.returncode == 1 and "passed" not in summary, summary
+
+
+def main() -> int:
+    survivors = 0
+    for mutant in MUTANTS:
+        killed, summary = run(mutant)
+        survivors += not killed
+        print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name} ({summary})")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,11 +29,11 @@ def census_under_rule(spec, family, n, in_order):
     """(raw graphs, graphs kept, canonical forms of the kept graphs): a raw
     graph is kept when ``in_order(a, b)`` holds for the internal-port
     counts a, b of every two adjacent vertices of equal (genus, valence)."""
-    genus_one = family == "genus1-stable"
-    legs = tuple(range(1 if genus_one else 0, n + 1))
+    total_genus = 1 if family == "genus1-stable" else 0
+    legs = tuple(range(1 if total_genus else 0, n + 1))
     raw = kept = 0
     classes = set()
-    for graph in go._matching_graphs(spec, legs, genus_one):
+    for graph in go._matching_graphs(spec, legs, total_genus):
         raw += 1
         ports = graph.vertex_half_edges()
         shape = [(g, len(hs)) for g, hs in zip(graph.genus, ports)]

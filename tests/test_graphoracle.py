@@ -114,20 +114,19 @@ def test_sums_against_brute_force(choices):
 
 
 @pytest.mark.parametrize("prof0", [(), (3,), (3, 4, 5, 6), (4, 6)])
-@pytest.mark.parametrize("uses_g1", [False, True])
-def test_vertex_shapes_against_brute_force(prof0, uses_g1):
-    # the genus-1 vertex first, then genus-0 valences non-decreasing
+@pytest.mark.parametrize("heads", [0, 1, 2])
+def test_vertex_shapes_against_brute_force(prof0, heads):
+    # the genus-1 vertices first, valences non-decreasing within each genus
     prof1 = (1, 2, 3, 4)
-    for V in range(1, 5):
-        heads = [(m,) for m in prof1] if uses_g1 else [()]
+    for V in range(max(heads, 1), 5):
         for total in range(-1, 6 * V + 3):
             want = [
-                tuple(zip((1,) * len(head) + (0,) * (V - len(head)), head + rest))
-                for head in heads
-                for rest in combinations_with_replacement(prof0, V - len(head))
+                tuple(zip((1,) * heads + (0,) * (V - heads), head + rest))
+                for head in combinations_with_replacement(prof1, heads)
+                for rest in combinations_with_replacement(prof0, V - heads)
                 if sum(head + rest) == total
             ]
-            assert list(go._vertex_shapes(prof0, prof1, V, total, uses_g1)) == want
+            assert list(go._vertex_shapes(prof0, prof1, V, total, heads)) == want
 
 
 def test_betti1_examples():
@@ -293,9 +292,9 @@ HELD_OUT = ModuleSpec(genus0=STD.genus0, genus1={**STD.genus1, 4: [(2, 1, 1)]})
 
 def _generated(spec, family, n):
     if family == "genus1-stable":
-        return go._matching_graphs(spec, tuple(range(1, n + 1)), True)
+        return go._matching_graphs(spec, tuple(range(1, n + 1)), 1)
     if family == "rooted-tree":
-        return go._matching_graphs(spec, tuple(range(0, n + 1)), False)
+        return go._matching_graphs(spec, tuple(range(0, n + 1)), 0)
     oriented = family == "oriented-necklace"
     return (
         graph

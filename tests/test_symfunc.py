@@ -358,6 +358,23 @@ def test_from_json_obj_reads_only_decimal_strings(num, den):
         SymFunc.from_json_obj(obj)
 
 
+TERM = {"partition": [1], "num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"truncation": 2}, {"terms": []}, {"truncation": 2, "terms": 5},
+     {"truncation": 2, "terms": {"0": TERM}}, {"truncation": 2, "terms": [5]},
+     {"truncation": 2, "terms": [list(TERM.items())]}, [2, [TERM]]]
+    + [{"truncation": 2, "terms": [{k: v for k, v in TERM.items() if k != gone}]} for gone in TERM],
+    ids=repr,
+)
+def test_from_json_obj_refuses_other_shapes(obj):
+    # a missing field or a wrong container is malformed input, not a program fault
+    with pytest.raises(ValueError, match="^series JSON needs 'truncation' and a list 'terms' of objects with"):
+        SymFunc.from_json_obj(obj)
+
+
 def test_from_json_obj_reads_what_to_json_obj_writes():
     obj = {"truncation": 2, "terms": [{"partition": [1], "num": "-3", "den": "2"}]}
     assert SymFunc.from_json_obj(obj) == SymFunc.p(1, 2) * Fraction(-3, 2)

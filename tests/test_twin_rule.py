@@ -55,19 +55,19 @@ def _reference_census(spec, family, n):
     leg_labels = tuple(range(1 if family == "genus1-stable" else 0, n + 1))
     prof0 = tuple(sorted(m for m, lams in spec.genus0.items() if lams))
     prof1 = tuple(sorted(m for m, lams in spec.genus1.items() if lams))
-    # (uses a genus-1 vertex, first Betti number)
-    cases = [(True, 0), (False, 1)] if family == "genus1-stable" else [(False, 0)]
+    # (genus-1 vertices, first Betti number)
+    cases = [(1, 0), (0, 1)] if family == "genus1-stable" else [(0, 0)]
     census = {}
-    for uses_g1, b1 in cases:
-        if not (prof1 if uses_g1 else prof0):
+    for heads, b1 in cases:
+        if not (prof1 if heads else prof0):
             continue
         V = 1
         while True:
             E = V - 1 + b1
             need = 2 * E + len(leg_labels)
-            if (3 * (V - 1) + prof1[0] if uses_g1 else 3 * V) > need:
+            if (3 * (V - 1) + prof1[0] if heads else 3 * V) > need:
                 break
-            for shape in go._vertex_shapes(prof0, prof1, V, need, uses_g1):
+            for shape in go._vertex_shapes(prof0, prof1, V, need, heads):
                 _reference_fill(spec, shape, E, leg_labels, census)
             V += 1
     return sorted(census)

@@ -243,6 +243,23 @@ def test_from_json_obj_refuses_bad_exponents(exp):
         WreathSymFunc.from_json_obj(obj)
 
 
+TERM = {"key": [{"k": 1, "class": "e", "exp": 1}], "num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"truncation": 2}, {"terms": []}, {"truncation": 2, "terms": 5},
+     {"truncation": 2, "terms": {"0": TERM}}, {"truncation": 2, "terms": [5]},
+     {"truncation": 2, "terms": [list(TERM.items())]}, [2, [TERM]]]
+    + [{"truncation": 2, "terms": [{k: v for k, v in TERM.items() if k != gone}]} for gone in TERM],
+    ids=repr,
+)
+def test_from_json_obj_refuses_other_shapes(obj):
+    # a missing field or a wrong container is malformed input, not a program fault
+    with pytest.raises(ValueError, match="^series JSON needs 'truncation' and a list 'terms' of objects with"):
+        WreathSymFunc.from_json_obj(obj)
+
+
 def test_str_rendering():
     N = 4
     assert str(WreathSymFunc.zero(N)) == "0"
