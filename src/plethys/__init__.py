@@ -45,12 +45,9 @@ from .graphoracle import (
     BudgetExceededError,
     DecoratedGraph,
     canonical_form,
-    cyclic_necklace_char_oracle,
+    census_char,
     enumerate_decorated,
     hom_char,
-    mv_char,
-    necklace_char_oracle,
-    tree_char_oracle,
 )
 
 __version__ = "0.1.0"

@@ -571,6 +571,13 @@ def _fill_shape(spec, shape, E, leg_labels):
         yield from _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, connected)
 
 
+def _check_census(family: str, n) -> None:
+    """The input check of every census, run before any graph is built."""
+    _check_int(n, "n")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
 def enumerate_decorated(spec: ModuleSpec, family: str, n: int):
     """All isomorphism classes in the family with legs labeled 1..n (rooted
     trees carry an extra distinguished leg 0).
@@ -578,9 +585,7 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int):
     Returns a new dict from canonical form to a representative graph,
     ordered by canonical form.
     """
-    _check_int(n, "n")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    _check_census(family, n)
     if family == "genus1-stable":
         graphs = _matching_graphs(spec, tuple(range(1, n + 1)), 1)
     elif family == "rooted-tree":
@@ -648,8 +653,8 @@ def _aut_char(graphs, truncation: int) -> SymFunc:
     where type(a) is the cycle type of a on the legs labeled 1.  A class U
     whose automorphisms act on those legs through the group S stands for
     the n!/|S| labeled classes over it, and (1/|Aut U|) sum_a p_{type(a)} =
-    (1/|S|) sum_{s in S} p_{type(s)} is their Burnside average.  The
-    oracles below check 1 <= n <= truncation before building ``graphs``.
+    (1/|S|) sum_{s in S} p_{type(s)} is their Burnside average.
+    ``census_char`` checks 1 <= n <= truncation before building ``graphs``.
     """
     classes: dict = {}
     for graph in graphs:
@@ -661,50 +666,24 @@ def _aut_char(graphs, truncation: int) -> SymFunc:
     return out
 
 
-def _check_char_degree(n, truncation):
-    """Each character oracle's input check, run before any census is built."""
-    _check_int(n, "n")
+def census_char(spec: ModuleSpec, family: str, n: int, truncation: int) -> SymFunc:
+    """Character of the family's census with n legs, as a module over
+    permutations of the legs 1..n (the root leg 0 of a rooted tree stays
+    fixed), from the automorphism groups of its leg-unlabeled classes.
+
+    Necklaces are laid out unlabeled; the genus-one and rooted-tree classes
+    are the labeled census with its labels 1..n forgotten.  The family and
+    1 <= n <= truncation are checked before any graph is built.
+    """
+    _check_census(family, n)
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
-
-
-def _forget_labels(census, n: int):
-    """The graphs of a labeled census with every label 1..n relabeled 1;
-    they meet every leg-unlabeled class (the root label 0 stays)."""
-    forget = dict.fromkeys(range(1, n + 1), 1)
-    return (relabel_legs(graph, forget) for graph in census.values())
-
-
-def mv_char(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
-    """Character of all decorated stable graphs of total genus one with n
-    legs (including the bare genus-1 corolla), from the automorphism groups
-    of the leg-unlabeled classes of the labeled census."""
-    _check_char_degree(n, truncation)
-    census = enumerate_decorated(spec, "genus1-stable", n)
-    return _aut_char(_forget_labels(census, n), truncation)
-
-
-def necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
-    """Character of the unordered necklaces with n legs, from the
-    automorphism groups of the leg-unlabeled classes."""
-    _check_char_degree(n, truncation)
-    return _aut_char(_necklace_graphs(spec, n, False, labeled=False), truncation)
-
-
-def cyclic_necklace_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
-    """Character of the cyclically oriented necklaces with n legs, from the
-    automorphism groups of the leg-unlabeled classes."""
-    _check_char_degree(n, truncation)
-    return _aut_char(_necklace_graphs(spec, n, True, labeled=False), truncation)
-
-
-def tree_char_oracle(spec: ModuleSpec, n: int, truncation: int) -> SymFunc:
-    """Character of rooted genus-0 trees (root leg 0 distinguished) as a
-    module over permutations of the legs 1..n, from the automorphism groups
-    of the leg-unlabeled classes of the labeled census."""
-    _check_char_degree(n, truncation)
-    census = enumerate_decorated(spec, "rooted-tree", n)
-    return _aut_char(_forget_labels(census, n), truncation)
+    if family in ("necklace", "oriented-necklace"):
+        graphs = _necklace_graphs(spec, n, family == "oriented-necklace", labeled=False)
+    else:
+        forget = dict.fromkeys(range(1, n + 1), 1)
+        graphs = (relabel_legs(g, forget) for g in enumerate_decorated(spec, family, n).values())
+    return _aut_char(graphs, truncation)
 
 
 def hom_char(action: str, glam, truncation: int) -> SymFunc:

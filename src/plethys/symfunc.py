@@ -243,10 +243,11 @@ class _TruncatedSeries:
         self._check_compatible(other)
         terms = dict(self._terms)
         for key, c in other._terms.items():
-            acc = terms.get(key, Fraction(0)) + c
+            # a key new to the sum keeps its coefficient, never zero
+            acc = terms[key] + c if key in terms else c
             if acc:
                 terms[key] = acc
-            elif key in terms:
+            else:
                 del terms[key]
         return self._raw(self.truncation, terms)
 
@@ -349,15 +350,18 @@ class _TruncatedSeries:
     @classmethod
     def from_json_obj(cls, obj: dict):
         """The value ``to_json_obj`` wrote.  Another shape (a missing field,
-        ``terms`` not a list, a term not an object), a ``num`` or ``den``
-        other than the decimal strings it writes, or a zero ``den``, is a
-        ``ValueError``."""
-        fields = (cls._json_field, "num", "den")
+        ``terms`` not a list, a term not an object, a key not a list or not
+        of the key's form), a ``num`` or ``den`` other than the decimal
+        strings it writes, or a zero ``den``, is a ``ValueError``."""
+        key, fields = cls._json_field, (cls._json_field, "num", "den")
         entries = obj.get("terms") if isinstance(obj, dict) else None
         if not isinstance(entries, list) or "truncation" not in obj or not all(
-            isinstance(entry, dict) and all(f in entry for f in fields) for entry in entries
+            isinstance(entry, dict) and all(f in entry for f in fields) and isinstance(entry[key], list)
+            for entry in entries
         ):
-            raise ValueError(f"series JSON needs 'truncation' and a list 'terms' of objects with {fields}")
+            raise ValueError(
+                f"series JSON needs 'truncation' and a list 'terms' of objects with {fields}, {key!r} a list"
+            )
         terms = []
         for entry in entries:
             num, den = entry["num"], entry["den"]
@@ -365,7 +369,7 @@ class _TruncatedSeries:
             text = f"{num}/{den}" if type(num) is type(den) is str else ""
             if not re.fullmatch("-?[0-9]+/0*[1-9][0-9]*", text):
                 raise ValueError(f"num/den must be decimal strings, den not 0, got {num!r}/{den!r}")
-            terms.append((cls._key_from_json(entry[cls._json_field]), Fraction(int(num), int(den))))
+            terms.append((cls._key_from_json(entry[key]), Fraction(int(num), int(den))))
         return cls(obj["truncation"], terms)
 
 

@@ -2,9 +2,11 @@
 
 Each suite checks one closed-form identity against an independent
 computation (a group-element average, a graph census, or an orbit count)
-by exact degreewise comparison.  A group-average or census suite compares
-its closed series, degree d at a time, with the average over the degree-d
-subgroup or the degree-d census, and stops at its first differing degree.
+by exact degreewise comparison.  Every group-average or census suite runs
+one check: its closed paths (two for ``necklaces`` and ``theorem``, one
+elsewhere) must agree degree by degree, and then the first must agree with
+the average over the degree-d subgroup or the degree-d census; the check
+stops at its first differing degree.
 Every suite carries its own default degree, chosen so that ``run_all`` at
 defaults is exactly the acceptance workload; an explicit ``max_degree``
 overrides it.
@@ -14,9 +16,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
-from . import graphoracle
-from .graphoracle import hom_char
+from .graphoracle import census_char, hom_char
 from .groups import cyclic_subgroup, hyperoct_dihedral, ind_trivial_char, ind_trivial_char_wreath
 from .series import (
     ModuleSpec,
@@ -26,9 +28,10 @@ from .series import (
     cyclic_necklace_series,
     necklace_series,
     second_leg_series,
+    tree_fixed_point,
     working_truncation,
 )
-from .symfunc import SymFunc, _check_int, d_operator, h_gen, h_lambda
+from .symfunc import SymFunc, _check_int, d_operator, h_gen, h_lambda, partial_p, plethysm
 from .wreath import dih_series_closed, specialize_s2
 
 
@@ -53,66 +56,47 @@ SUITE_DEFAULT_DEGREE = {
 SUITE_NAMES = tuple(SUITE_DEFAULT_DEGREE)
 
 
-def _first_difference(f: SymFunc, part_of, max_degree: int):
-    """The first degree d <= max_degree at which ``f.degree_part(d)`` and
-    ``part_of(d)`` differ, as (d, f's part, the other part), or None.
-    ``part_of`` is called degree by degree and never past that d."""
-    for d in range(max_degree + 1):
-        mine, theirs = f.degree_part(d), part_of(d)
-        if mine != theirs:
-            return d, mine, theirs
-    return None
+def _check(suite: str, paths: dict, oracle, max_degree: int, passed: str):
+    """Run the check of ``suite``: its result (with detail ``passed`` on a
+    pass) and its first differing degree (None on a pass).
 
-
-def _census_difference(formula: SymFunc, oracle, spec: ModuleSpec, max_degree: int):
-    """``_first_difference`` of ``formula`` against a census.
-
-    Every census character is homogeneous of degree n, so degree d of the
-    summed census series is the character ``oracle(spec, d, N)`` alone;
-    no census past the first differing degree is enumerated.
+    ``paths`` maps the name of each closed path to its series.  Every other
+    path must agree with the first degree by degree through ``max_degree``;
+    then the first must agree with ``oracle(d, N)``, the degree-d group
+    average or census character at the first path's truncation N, and with
+    zero at degree 0.  The check stops at its first difference, so
+    ``oracle`` is never called past it.
     """
-    N = formula.truncation
-    return _first_difference(
-        formula, lambda d: oracle(spec, d, N) if d else SymFunc.zero(N), max_degree
-    )
-
-
-def _diff_detail(diff):
-    if diff is None:
-        return None
-    d, mine, theirs = diff
-    return f"first differing degree {d}: {mine} vs {theirs}"
-
-
-def _average_difference(series, subgroup, average, max_degree: int):
-    """``_first_difference`` of a closed series against the group averages
-    ``average(subgroup(d), N)``, the induced trivial character of the
-    degree-d subgroup; degree 0 is compared against zero, as in
-    ``_census_difference``."""
-    N = series.truncation
-    return _first_difference(
-        series, lambda d: average(subgroup(d), N) if d else series.zero(N), max_degree
-    )
+    (name, first), *others = paths.items()
+    N = first.truncation
+    stages = [(f"{name} vs {other}: ", series.degree_part) for other, series in others]
+    stages.append(("", lambda d: oracle(d, N) if d else first.zero(N)))
+    for prefix, part_of in stages:
+        for d in range(max_degree + 1):
+            mine, theirs = first.degree_part(d), part_of(d)
+            if mine != theirs:
+                return SuiteResult(suite, False, f"{prefix}first differing degree {d}: {mine} vs {theirs}"), d
+    return SuiteResult(suite, True, passed), None
 
 
 def run_bb(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Closed form of the cyclically-ordered corolla series against the
     averages over cyclic subgroups."""
-    detail = _diff_detail(
-        _average_difference(ass_series(max_degree), cyclic_subgroup, ind_trivial_char, max_degree)
-    )
-    return SuiteResult("bb", detail is None, detail or f"exact through degree {max_degree}")
+    return _check(
+        "bb", {"ass_series": ass_series(max_degree)},
+        lambda d, N: ind_trivial_char(cyclic_subgroup(d), N),
+        max_degree, f"exact through degree {max_degree}",
+    )[0]
 
 
 def run_generating(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Closed generating series of the dihedral characters against the
     averages over the dihedral subgroups of the hyperoctahedral groups."""
-    detail = _diff_detail(
-        _average_difference(
-            dih_series_closed(max_degree), hyperoct_dihedral, ind_trivial_char_wreath, max_degree
-        )
-    )
-    return SuiteResult("generating", detail is None, detail or f"exact for all degrees <= {max_degree}")
+    return _check(
+        "generating", {"dih_series_closed": dih_series_closed(max_degree)},
+        lambda d, N: ind_trivial_char_wreath(hyperoct_dihedral(d), N),
+        max_degree, f"exact for all degrees <= {max_degree}",
+    )[0]
 
 
 def run_deg1(spec: ModuleSpec, max_degree: int) -> SuiteResult:
@@ -141,12 +125,9 @@ def run_deg1(spec: ModuleSpec, max_degree: int) -> SuiteResult:
 def run_cyclic(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """Cyclically-oriented necklace series against the oriented census."""
     working = working_truncation(spec, max_degree)
-    a0 = a_series(spec, 0, working)
-    formula = cyclic_necklace_series(a0)
-    detail = _diff_detail(
-        _census_difference(formula, graphoracle.cyclic_necklace_char_oracle, spec, max_degree)
-    )
-    return SuiteResult("cyclic", detail is None, detail or f"exact through degree {max_degree}")
+    closed = {"cyclic_necklace_series": cyclic_necklace_series(a_series(spec, 0, working))}
+    census = partial(census_char, spec, "oriented-necklace")
+    return _check("cyclic", closed, census, max_degree, f"exact through degree {max_degree}")[0]
 
 
 def run_necklaces(spec: ModuleSpec, max_degree: int) -> SuiteResult:
@@ -154,22 +135,31 @@ def run_necklaces(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     unordered census."""
     working = working_truncation(spec, max_degree)
     a0 = a_series(spec, 0, working)
-    direct = necklace_series(a0, method="direct")
-    wreath_path = necklace_series(a0, method="wreath")
-    detail = _diff_detail(_first_difference(direct, wreath_path.degree_part, max_degree))
-    if detail is not None:
-        return SuiteResult("necklaces", False, "direct vs wreath path: " + detail)
-    detail = _diff_detail(
-        _census_difference(direct, graphoracle.necklace_char_oracle, spec, max_degree)
-    )
-    return SuiteResult("necklaces", detail is None, detail or f"both paths match census through degree {max_degree}")
+    paths = {"direct": necklace_series(a0, "direct"), "wreath path": necklace_series(a0, "wreath")}
+    census = partial(census_char, spec, "necklace")
+    passed = f"both paths match census through degree {max_degree}"
+    return _check("necklaces", paths, census, max_degree, passed)[0]
 
 
 def run_theorem(spec: ModuleSpec, max_degree: int) -> SuiteResult:
-    """End-to-end genus-one series against the full stable-graph census."""
-    formula = b1_series(spec, max_degree)
-    detail = _diff_detail(_census_difference(formula, graphoracle.mv_char, spec, max_degree))
-    return SuiteResult("theorem", detail is None, detail or f"exact through degree {max_degree}")
+    """End-to-end genus-one series, by ``b1_series`` and by the paper's
+    route, against the full stable-graph census.
+
+    The paper's route is a1 o T plus the closed dihedral series specialized
+    along a0'' o T and (da0/dp_2) o T, where ``b1_series`` takes the
+    necklace formula; it is assembled at the working truncation and cut
+    back to ``max_degree``.
+    """
+    working = working_truncation(spec, max_degree)
+    a0 = a_series(spec, 0, working)
+    tree = tree_fixed_point(a0)
+    core = plethysm(second_leg_series(a0), tree)
+    adot = plethysm(partial_p(2, a0), tree)
+    dihedral = specialize_s2(dih_series_closed(working), core, adot)
+    route = (plethysm(a_series(spec, 1, working), tree) + dihedral).truncated(max_degree)
+    paths = {"b1_series": b1_series(spec, max_degree), "paper's route": route}
+    census = partial(census_char, spec, "genus1-stable")
+    return _check("theorem", paths, census, max_degree, f"exact through degree {max_degree}")[0]
 
 
 def run_negative_dih(spec: ModuleSpec, max_degree: int) -> SuiteResult:
@@ -188,12 +178,13 @@ def run_negative_dih(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     working = working_truncation(spec, max_degree)
     core = second_leg_series(a_series(spec, 0, working))
     naive = specialize_s2(dih_series_closed(working), core, core * Fraction(1, 2))
-    diff = _census_difference(naive, graphoracle.necklace_char_oracle, spec, max_degree)
-    if diff is None:
+    census = partial(census_char, spec, "necklace")
+    _, d = _check("negative-dih", {"naive": naive}, census, max_degree, "")
+    if d is None:
         return SuiteResult(
             "negative-dih", False, f"no difference found through degree {max_degree}; expected one"
         )
-    return SuiteResult("negative-dih", True, f"difference detected at degree {diff[0]}, as required")
+    return SuiteResult("negative-dih", True, f"difference detected at degree {d}, as required")
 
 
 # every runner takes (spec, max_degree); the closed-form suites read only

@@ -69,6 +69,8 @@ def _grouped_key(key: WreathMonomial) -> list:
 
 
 def _ungrouped_key(groups) -> WreathMonomial:
+    if not all(isinstance(g, dict) and {"k", "class", "exp"} <= g.keys() for g in groups):
+        raise ValueError(f"a wreath key is a list of objects with 'k', 'class' and 'exp', got {groups!r}")
     # a list times True, 0 or -1 would keep one factor or none
     return tuple(f for g in groups for f in [(g["k"], g["class"])] * _check_int(g["exp"], "exp"))
 

@@ -87,6 +87,35 @@ MUTANTS = (
             "tests/test_series.py::test_cyclic_necklace_series_examples",
         ),
     ),
+    Mutant(
+        "_leg_actions: every automorphism acts on the legs as the identity",
+        "src/plethys/graphoracle.py",
+        "        image = dict(zip(first, order))\n",
+        "        image = dict(zip(first, first))\n",
+        ("tests/test_automorphisms.py::test_aut_char_equals_burnside_char[std-genus1-stable]",),
+    ),
+    Mutant(
+        "_fill_shape: twins need not share their internal-port counts",
+        "src/plethys/graphoracle.py",
+        " and shape[v] == shape[v + 1] and int_counts[v] == int_counts[v + 1]\n",
+        " and shape[v] == shape[v + 1]\n",
+        (
+            "tests/test_twin_rule.py::test_twin_rule_prunes_generation",
+            "tests/test_census_symmetry.py::"
+            "test_non_decreasing_internal_ports_meet_every_class[standard-genus1-stable-3]",
+        ),
+    ),
+    Mutant(
+        "specialize_s2: Q_k goes to adams(k, adot) without the factor 2",
+        "src/plethys/wreath.py",
+        "else adams(k, adot) * 2\n",
+        "else adams(k, adot)\n",
+        (
+            "tests/test_series.py::test_b1_series_is_the_paper_route[standard-12]",
+            # the paper's route inside the theorem suite
+            "tests/test_acceptance.py::test_criterion_5_full_theorem_degree_4",
+        ),
+    ),
 )
 
 

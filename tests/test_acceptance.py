@@ -95,7 +95,7 @@ def test_criterion_4_regression_guard_quarter_term():
     crippled = necklace_series(a0) - psi2 * geom(psi2) * Fraction(1, 4)
     census_sum = SymFunc.zero(working)
     for n in range(1, 5):
-        census_sum = census_sum + go.necklace_char_oracle(STD, n, working)
+        census_sum = census_sum + go.census_char(STD, "necklace", n, working)
     mismatch = any(
         crippled.degree_part(d) != census_sum.degree_part(d) for d in range(1, 5)
     )

@@ -214,7 +214,7 @@ def test_enumerate_examples():
         with pytest.raises(ValueError, match=f"^n must be a positive integer, got {bad!r}$"):
             enumerate_decorated(STD, "necklace", bad)
         with pytest.raises(ValueError, match=f"^n must be a positive integer, got {bad!r}$"):
-            go.necklace_char_oracle(STD, bad, 3)
+            go.census_char(STD, "necklace", bad, 3)
     with pytest.raises(ValueError):
         enumerate_decorated(TINY, "bogus-family", 1)
 
@@ -254,36 +254,32 @@ def test_budget_enforcement(monkeypatch):
     monkeypatch.setattr(go, "DEFAULT_BUDGET", 2)
     with pytest.raises(BudgetExceededError, match="^census exceeds class budget 2$"):
         enumerate_decorated(STD, "necklace", 4)
-    # necklace characters enumerate leg-unlabeled classes under the same checks
+    # every family's character checks the legs and the truncation, then
+    # builds its census under the class limit
     N = 6
-    with pytest.raises(BudgetExceededError):
-        go.necklace_char_oracle(STD, 4, N)
-    with pytest.raises(ValueError):
-        go.necklace_char_oracle(STD, 0, N)
-    with pytest.raises(ValueError):
-        go.necklace_char_oracle(STD, 4, 3)
-    # the labeled families check the legs and the truncation, then build
-    # their census under the class limit
-    for oracle in (go.mv_char, go.tree_char_oracle):
-        with pytest.raises(ValueError):
-            oracle(STD, 0, N)
+    for family in go.FAMILIES:
         with pytest.raises(BudgetExceededError):
-            oracle(STD, 4, N)
+            go.census_char(STD, family, 4, N)
         with pytest.raises(ValueError):
-            oracle(STD, 3, 2)
+            go.census_char(STD, family, 0, N)
+        with pytest.raises(ValueError):
+            go.census_char(STD, family, 4, 3)
 
 
-def test_labeled_oracles_check_degree_before_enumerating(monkeypatch):
+def test_census_char_checks_its_input_before_building_a_graph(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a census was built before the input check")
+        raise AssertionError("a graph was built before the input check")
 
-    monkeypatch.setattr(go, "enumerate_decorated", refuse)
-    for oracle in (go.mv_char, go.tree_char_oracle):
-        with pytest.raises(ValueError, match="degree 4 exceeds truncation 3"):
-            oracle(STD, 4, 3)
+    for name in ("enumerate_decorated", "_necklace_graphs", "_matching_graphs"):
+        monkeypatch.setattr(go, name, refuse)
+    with pytest.raises(ValueError, match="^unknown family 'bogus-family'; expected one of"):
+        go.census_char(STD, "bogus-family", 2, 3)
+    for family in go.FAMILIES:
+        with pytest.raises(ValueError, match="^degree 4 exceeds truncation 3$"):
+            go.census_char(STD, family, 4, 3)
         for n in (0, True):
             with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n!r}$"):
-                oracle(STD, n, 3)
+                go.census_char(STD, family, n, 3)
 
 
 # the module of the benchmark's held-out seed: genus1[4][0] = (2, 1, 1)
@@ -379,16 +375,16 @@ def test_char_of_census_swapped_pair():
 
 def test_oracle_chars_hand_values():
     N = 6
-    assert go.necklace_char_oracle(TINY, 1, N) == SymFunc.p(1, N)
-    assert go.tree_char_oracle(TINY, 2, N) == h_gen(2, N)
-    assert go.mv_char(ModuleSpec(genus1={1: [(1,)]}), 1, N) == SymFunc.p(1, N)
-    assert go.necklace_char_oracle(STD, 2, N) == SymFunc(
+    assert go.census_char(TINY, "necklace", 1, N) == SymFunc.p(1, N)
+    assert go.census_char(TINY, "rooted-tree", 2, N) == h_gen(2, N)
+    assert go.census_char(ModuleSpec(genus1={1: [(1,)]}), "genus1-stable", 1, N) == SymFunc.p(1, N)
+    assert go.census_char(STD, "necklace", 2, N) == SymFunc(
         N, {(1, 1): 3, (2,): 2}
     )
-    assert go.cyclic_necklace_char_oracle(STD, 2, N) == SymFunc(
+    assert go.census_char(STD, "oriented-necklace", 2, N) == SymFunc(
         N, {(1, 1): 4, (2,): 2}
     )
-    assert go.mv_char(STD, 2, N) == SymFunc(
+    assert go.census_char(STD, "genus1-stable", 2, N) == SymFunc(
         N, {(1, 1): Fraction(9, 2), (2,): Fraction(7, 2)}
     )
 
@@ -417,7 +413,7 @@ def test_tree_census_matches_fixed_point():
         a0 = a_series(spec, 0, working)
         trees = tree_fixed_point(a0) - SF.p(1, working)
         for n in range(1, 6):
-            assert trees.degree_part(n) == go.tree_char_oracle(spec, n, working)
+            assert trees.degree_part(n) == go.census_char(spec, "rooted-tree", n, working)
 
 
 def test_char_coefficients_times_z_are_integers():

@@ -375,6 +375,15 @@ def test_from_json_obj_refuses_other_shapes(obj):
         SymFunc.from_json_obj(obj)
 
 
+@pytest.mark.parametrize("key", [5, None, True, 1.5, "21", {"2": 1}], ids=repr)
+def test_from_json_obj_refuses_a_key_not_a_list(key):
+    # a partition key is the list to_json_obj writes; tuple() would take a
+    # string or an object's keys, and no other value at all
+    obj = {"truncation": 3, "terms": [{"partition": key, "num": "1", "den": "1"}]}
+    with pytest.raises(ValueError, match="^series JSON needs .*, 'partition' a list$"):
+        SymFunc.from_json_obj(obj)
+
+
 def test_from_json_obj_reads_what_to_json_obj_writes():
     obj = {"truncation": 2, "terms": [{"partition": [1], "num": "-3", "den": "2"}]}
     assert SymFunc.from_json_obj(obj) == SymFunc.p(1, 2) * Fraction(-3, 2)

@@ -3,7 +3,8 @@ and refuses a degree at which it would check nothing.
 
 Each perturbation case replaces one closed form in ``verify``'s namespace
 by a perturbed copy and runs the suite at its default degree: the suite
-must fail, at the degree where the perturbation first shows.  The
+must fail, at the degree where the perturbation first shows; a suite
+with two closed paths names both when only one of them moves.  The
 negative control's naive series is checked against the route it stands
 for: the plain dihedral groups D_n of S_n averaged and composed with a0''.
 """
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from plethys import verify
+from plethys import series, verify
 from plethys.groups import ind_trivial_char
 from plethys.series import (
     ModuleSpec,
@@ -25,7 +26,7 @@ from plethys.series import (
     working_truncation,
 )
 from plethys.symfunc import SymFunc, d_operator, plethysm
-from plethys.wreath import WreathSymFunc, dih_series_closed
+from plethys.wreath import WreathSymFunc, dih_series_closed, specialize_s2
 from test_groups import dihedral_in_sym
 from test_series import PAPER_ROUTE_CASES
 
@@ -39,6 +40,11 @@ def _necklaces_plus_quarter_p3(methods):
         return necklace_series(a0, method) + extra
 
     return perturbed
+
+
+# degree 3 of the standard necklace series, and with 1/4 p_3 added
+NECKLACES_3 = "2/3*p3 + 5/2*p2*p1 + 17/6*p1^3"
+NECKLACES_3_PLUS = "11/12*p3 + 5/2*p2*p1 + 17/6*p1^3"
 
 
 def _dih_plus_half_q1p2(N):
@@ -70,26 +76,42 @@ def _dih_plus_half_q1p2(N):
             "first differing degree 2: ",
             id="cyclic",
         ),
+        # the necklaces details in full: the first path's part, then the
+        # other path's or the census's
         pytest.param(
             "necklaces",
             "necklace_series",
             _necklaces_plus_quarter_p3(("wreath",)),
-            "direct vs wreath path: first differing degree 3: ",
+            f"direct vs wreath path: first differing degree 3: {NECKLACES_3} vs {NECKLACES_3_PLUS}",
             id="necklaces-wreath-path",
         ),
         pytest.param(
             "necklaces",
             "necklace_series",
+            _necklaces_plus_quarter_p3(("direct",)),
+            f"direct vs wreath path: first differing degree 3: {NECKLACES_3_PLUS} vs {NECKLACES_3}",
+            id="necklaces-direct-path",
+        ),
+        pytest.param(
+            "necklaces",
+            "necklace_series",
             _necklaces_plus_quarter_p3(("direct", "wreath")),
-            "first differing degree 3: ",
+            f"first differing degree 3: {NECKLACES_3_PLUS} vs {NECKLACES_3}",
             id="necklaces-census",
         ),
         pytest.param(
             "theorem",
             "b1_series",
             lambda spec, N: b1_series(spec, N) + SymFunc.p(2, N),
-            "first differing degree 2: ",
-            id="theorem",
+            "b1_series vs paper's route: first differing degree 2: ",
+            id="theorem-b1_series",
+        ),
+        pytest.param(
+            "theorem",
+            "specialize_s2",
+            lambda w, core, adot: specialize_s2(w, core, adot) + SymFunc.p(2, w.truncation),
+            "b1_series vs paper's route: first differing degree 2: ",
+            id="theorem-paper-route",
         ),
         pytest.param(
             "deg1",
@@ -105,6 +127,19 @@ def test_suite_fails_on_a_perturbed_closed_form(monkeypatch, suite, name, pertur
     result = verify.run_suite(suite)
     assert result.passed is False
     assert result.detail.startswith(detail), result.detail
+
+
+def test_theorem_fails_at_the_census_when_both_routes_move(monkeypatch):
+    # an extra p_2 in the genus-one corollas reaches b1_series and the
+    # paper's route alike, so the two agree and the census tells them apart
+    def perturbed(spec, genus, N):
+        return a_series(spec, genus, N) + (SymFunc.p(2, N) if genus else SymFunc.zero(N))
+
+    monkeypatch.setattr(series, "a_series", perturbed)
+    monkeypatch.setattr(verify, "a_series", perturbed)
+    result = verify.run_suite("theorem")
+    assert result.passed is False
+    assert result.detail.startswith("first differing degree 2: "), result.detail
 
 
 @pytest.mark.parametrize("max_degree", [0, -1, True, 2.0])
@@ -138,11 +173,11 @@ def _naive_series(monkeypatch, spec, max_degree):
     census, caught before any census is enumerated."""
     caught = []
 
-    def catch(formula, oracle, spec, max_degree):
-        caught.append(formula)
-        return None
+    def catch(suite, paths, oracle, max_degree, passed):
+        caught.extend(paths.values())
+        return verify.SuiteResult(suite, True, passed), None
 
-    monkeypatch.setattr(verify, "_census_difference", catch)
+    monkeypatch.setattr(verify, "_check", catch)
     verify.run_suite("negative-dih", spec, max_degree)
     (naive,) = caught
     return naive

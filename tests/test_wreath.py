@@ -260,6 +260,26 @@ def test_from_json_obj_refuses_other_shapes(obj):
         WreathSymFunc.from_json_obj(obj)
 
 
+# keys that are not lists, and lists that are not {k, class, exp} groups
+KEYS_NOT_A_LIST = [7, None, "P1", {"k": 1, "class": "e", "exp": 1}]
+KEYS_NOT_GROUPS = [
+    [5], ["e"], [[1, "e", 1]], [{"k": 1}], [{"k": 1, "class": "e"}],
+    [TERM["key"][0], {"class": "t", "exp": 1}],
+]
+
+
+@pytest.mark.parametrize("key", KEYS_NOT_A_LIST + KEYS_NOT_GROUPS, ids=repr)
+def test_from_json_obj_refuses_malformed_keys(key):
+    # a wreath key is the list of {k, class, exp} groups to_json_obj writes
+    obj = {"truncation": 3, "terms": [{"key": key, "num": "1", "den": "1"}]}
+    if key in KEYS_NOT_A_LIST:
+        message = "^series JSON needs .*, 'key' a list$"
+    else:
+        message = "^a wreath key is a list of objects with 'k', 'class' and 'exp', got "
+    with pytest.raises(ValueError, match=message):
+        WreathSymFunc.from_json_obj(obj)
+
+
 def test_str_rendering():
     N = 4
     assert str(WreathSymFunc.zero(N)) == "0"
