@@ -13,10 +13,12 @@ The genus-one series glues before it expands.  Plethysm by the tree series
 T is a ring homomorphism in its left argument that fixes rational constants
 and commutes with Adams operations; T starts at p_1, so it maps degree d
 to degrees >= d and commutes with truncation.  So the necklace series
-composed with T is exactly the necklace formula (``symfunc`` writes it once,
-for both rings) at a0'' o T and (da0/dp_2) o T, and so is
-``specialize_s2(dih_series_closed(N), a0'' o T, (da0/dp_2) o T)``: the
-paper's route, which ``tests/test_series.py`` checks against ``b1_series``.
+composed with T is exactly the necklace series at a0'' o T and
+(da0/dp_2) o T, by either route: the necklace formula (``symfunc`` writes it
+once, for both rings) or the paper's route,
+``specialize_s2(dih_series_closed(N), a0'' o T, (da0/dp_2) o T)``.  One
+assembly, ``_genus_one_routes``, builds T and those two inputs once for
+both routes, and ``verify``'s theorem suite checks them against each other.
 """
 
 from __future__ import annotations
@@ -189,19 +191,22 @@ def cyclic_necklace_series(a0: SymFunc) -> SymFunc:
     return _cyclic_sum(second_leg_series(a0))
 
 
-def necklace_series(a0: SymFunc, method: str = "direct") -> SymFunc:
-    """Sum over unordered necklaces of genus-0 vertices, by either of two
-    routes that must agree: the necklace formula, or the closed dihedral
-    series in wreath-product symmetric functions specialized along the
-    same two inputs, core = a0'' and adot = da0/dp_2."""
-    if method not in ("direct", "wreath"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_core_series(a0)
-    core = second_leg_series(a0)
-    adot = partial_p(2, a0)
+def _necklace_route(method: str, core, adot):
+    """The necklace series at (core, adot), a0'' and da0/dp_2 or their images
+    under plethysm, by ``method``: "direct", the necklace formula, or
+    "wreath", the closed dihedral series specialized along the two."""
     if method == "direct":
         return _necklace_formula(core, adot)
-    return specialize_s2(dih_series_closed(a0.truncation), core, adot)
+    if method == "wreath":
+        return specialize_s2(dih_series_closed(core.truncation), core, adot)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def necklace_series(a0: SymFunc, method: str = "direct") -> SymFunc:
+    """Sum over unordered necklaces of genus-0 vertices, by the route
+    ``method``, "direct" or "wreath" (see ``_necklace_route``)."""
+    _check_core_series(a0)
+    return _necklace_route(method, second_leg_series(a0), partial_p(2, a0))
 
 
 def tree_fixed_point(a0: SymFunc) -> SymFunc:
@@ -230,22 +235,23 @@ def working_truncation(spec: ModuleSpec, degree: int) -> int:
     return max(degree, min(spec.max_arity(), degree + 2))
 
 
-def b1_series(spec: ModuleSpec, truncation: int) -> SymFunc:
-    """The full genus-one series (a1 + N(a0)) o T: genus-one corollas plus
-    necklaces, glued along the rooted genus-0 trees T by plethysm.  N(a0) o T
-    is the necklace formula at a0'' o T and (da0/dp_2) o T, exactly, since
-    plethysm by T is a ring homomorphism commuting with Adams operations and
-    keeps degrees; so two small series are composed, not all of N(a0).
-
-    The assembly runs at the working truncation, which keeps the summands
-    that reach low degrees through derivatives, and only the result is cut
-    back to the requested degree.
+def _genus_one_routes(spec: ModuleSpec, truncation: int, methods) -> list:
+    """The genus-one series (a1 + N(a0)) o T through ``truncation``, once per
+    necklace route in ``methods`` (see the module docstring).  a0, T, and
+    a1, a0'' and da0/dp_2 composed with T are built once, at the working
+    truncation, which keeps the summands that reach low degrees through
+    derivatives; only each result is cut back to ``truncation``.
     """
     working = working_truncation(spec, truncation)
     a0 = a_series(spec, 0, working)
-    a1 = a_series(spec, 1, working)
     tree = tree_fixed_point(a0)
+    corollas = plethysm(a_series(spec, 1, working), tree)
     core = plethysm(second_leg_series(a0), tree)
     adot = plethysm(partial_p(2, a0), tree)
-    full = plethysm(a1, tree) + _necklace_formula(core, adot)
-    return full.truncated(truncation)
+    return [(corollas + _necklace_route(m, core, adot)).truncated(truncation) for m in methods]
+
+
+def b1_series(spec: ModuleSpec, truncation: int) -> SymFunc:
+    """The full genus-one series (a1 + N(a0)) o T: genus-one corollas plus
+    necklaces, glued along the rooted genus-0 trees T, by the necklace formula."""
+    return _genus_one_routes(spec, truncation, ("direct",))[0]

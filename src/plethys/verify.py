@@ -22,17 +22,17 @@ from .graphoracle import census_char, hom_char
 from .groups import cyclic_subgroup, hyperoct_dihedral, ind_trivial_char, ind_trivial_char_wreath
 from .series import (
     ModuleSpec,
+    _genus_one_routes,
+    _necklace_route,
     a_series,
     ass_series,
-    b1_series,
     cyclic_necklace_series,
     necklace_series,
     second_leg_series,
-    tree_fixed_point,
     working_truncation,
 )
-from .symfunc import SymFunc, _check_int, d_operator, h_gen, h_lambda, partial_p, plethysm
-from .wreath import dih_series_closed, specialize_s2
+from .symfunc import SymFunc, _check_int, d_operator, h_gen, h_lambda
+from .wreath import dih_series_closed
 
 
 class SuiteResult(namedtuple("SuiteResult", "suite passed detail", defaults=("",))):
@@ -145,19 +145,13 @@ def run_theorem(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     """End-to-end genus-one series, by ``b1_series`` and by the paper's
     route, against the full stable-graph census.
 
-    The paper's route is a1 o T plus the closed dihedral series specialized
-    along a0'' o T and (da0/dp_2) o T, where ``b1_series`` takes the
-    necklace formula; it is assembled at the working truncation and cut
-    back to ``max_degree``.
+    Both paths glue along one tree series T: a1 o T plus the necklace
+    series at a0'' o T and (da0/dp_2) o T, by the necklace formula for
+    ``b1_series`` and by the specialized closed dihedral series for the
+    paper's route.
     """
-    working = working_truncation(spec, max_degree)
-    a0 = a_series(spec, 0, working)
-    tree = tree_fixed_point(a0)
-    core = plethysm(second_leg_series(a0), tree)
-    adot = plethysm(partial_p(2, a0), tree)
-    dihedral = specialize_s2(dih_series_closed(working), core, adot)
-    route = (plethysm(a_series(spec, 1, working), tree) + dihedral).truncated(max_degree)
-    paths = {"b1_series": b1_series(spec, max_degree), "paper's route": route}
+    routes = _genus_one_routes(spec, max_degree, ("direct", "wreath"))
+    paths = dict(zip(("b1_series", "paper's route"), routes))
     census = partial(census_char, spec, "genus1-stable")
     return _check("theorem", paths, census, max_degree, f"exact through degree {max_degree}")[0]
 
@@ -170,14 +164,14 @@ def run_negative_dih(spec: ModuleSpec, max_degree: int) -> SuiteResult:
     Forgetting signs maps the dihedral subgroup of S_2 wr S_n onto the
     plain dihedral group D_n in S_n and sends P_k and Q_k alike to p_k, so
     the naive series, sum_n Z(D_n) o a0'', is the necklace formula at
-    (a0'', a0''/2): ``dih_series_closed`` specialized with Q_k acting as
-    P_k.  It equals the necklace series exactly when a0'' = 2 da0/dp_2,
+    (a0'', a0''/2): the wreath route at those inputs, Q_k acting as P_k.
+    It equals the necklace series exactly when a0'' = 2 da0/dp_2,
     which holds for every trivial genus-0 summand (h_n'' = h_{n-2} =
     2 dh_n/dp_2), so the control is blind to trivial summands.
     """
     working = working_truncation(spec, max_degree)
     core = second_leg_series(a_series(spec, 0, working))
-    naive = specialize_s2(dih_series_closed(working), core, core * Fraction(1, 2))
+    naive = _necklace_route("wreath", core, core * Fraction(1, 2))
     census = partial(census_char, spec, "necklace")
     _, d = _check("negative-dih", {"naive": naive}, census, max_degree, "")
     if d is None:

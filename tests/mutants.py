@@ -106,6 +106,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_fill_shape: the twin filter is dropped",
+        "src/plethys/graphoracle.py",
+        "            if all(a[v] < a[v + 1] for v in twins)\n",
+        "",
+        ("tests/test_twin_rule.py::test_twin_rule_prunes_generation",),
+    ),
+    Mutant(
+        "_necklace_route: the wreath route is the necklace formula",
+        "src/plethys/series.py",
+        "        return specialize_s2(dih_series_closed(core.truncation), core, adot)\n",
+        "        return _necklace_formula(core, adot)\n",
+        (
+            # the two routes agree, so each theorem perturbation reaches the census
+            "tests/test_verify.py::test_suite_fails_on_a_perturbed_closed_form[theorem-b1_series]",
+            "tests/test_verify.py::test_suite_fails_on_a_perturbed_closed_form[theorem-paper-route]",
+        ),
+    ),
+    Mutant(
         "specialize_s2: Q_k goes to adams(k, adot) without the factor 2",
         "src/plethys/wreath.py",
         "else adams(k, adot) * 2\n",

@@ -1,10 +1,11 @@
 """Every verification suite reports a FAIL when its closed side is wrong,
 and refuses a degree at which it would check nothing.
 
-Each perturbation case replaces one closed form in ``verify``'s namespace
-by a perturbed copy and runs the suite at its default degree: the suite
-must fail, at the degree where the perturbation first shows; a suite
-with two closed paths names both when only one of them moves.  The
+Each perturbation case replaces one closed form in the namespace of
+``verify`` or ``series`` by a perturbed copy and runs the suite at its
+default degree: the suite must fail, at the degree where the
+perturbation first shows; a suite with two closed paths names both when
+only one of them moves.  The
 negative control's naive series is checked against the route it stands
 for: the plain dihedral groups D_n of S_n averaged and composed with a0''.
 """
@@ -19,13 +20,12 @@ from plethys.series import (
     ModuleSpec,
     a_series,
     ass_series,
-    b1_series,
     cyclic_necklace_series,
     necklace_series,
     second_leg_series,
     working_truncation,
 )
-from plethys.symfunc import SymFunc, d_operator, plethysm
+from plethys.symfunc import SymFunc, _necklace_formula, d_operator, plethysm
 from plethys.wreath import WreathSymFunc, dih_series_closed, specialize_s2
 from test_groups import dihedral_in_sym
 from test_series import PAPER_ROUTE_CASES
@@ -53,25 +53,25 @@ def _dih_plus_half_q1p2(N):
 
 
 @pytest.mark.parametrize(
-    "suite, name, perturbed, detail",
+    "suite, target, perturbed, detail",
     [
         pytest.param(
             "bb",
-            "ass_series",
+            "verify.ass_series",
             lambda N: ass_series(N) + SymFunc.p(3, N) * Fraction(1, 3),
             "first differing degree 3: ",
             id="bb",
         ),
         pytest.param(
             "generating",
-            "dih_series_closed",
+            "verify.dih_series_closed",
             _dih_plus_half_q1p2,
             "first differing degree 3: ",
             id="generating",
         ),
         pytest.param(
             "cyclic",
-            "cyclic_necklace_series",
+            "verify.cyclic_necklace_series",
             lambda a0: cyclic_necklace_series(a0) + SymFunc.p(2, a0.truncation) * Fraction(1, 2),
             "first differing degree 2: ",
             id="cyclic",
@@ -80,50 +80,50 @@ def _dih_plus_half_q1p2(N):
         # other path's or the census's
         pytest.param(
             "necklaces",
-            "necklace_series",
+            "verify.necklace_series",
             _necklaces_plus_quarter_p3(("wreath",)),
             f"direct vs wreath path: first differing degree 3: {NECKLACES_3} vs {NECKLACES_3_PLUS}",
             id="necklaces-wreath-path",
         ),
         pytest.param(
             "necklaces",
-            "necklace_series",
+            "verify.necklace_series",
             _necklaces_plus_quarter_p3(("direct",)),
             f"direct vs wreath path: first differing degree 3: {NECKLACES_3_PLUS} vs {NECKLACES_3}",
             id="necklaces-direct-path",
         ),
         pytest.param(
             "necklaces",
-            "necklace_series",
+            "verify.necklace_series",
             _necklaces_plus_quarter_p3(("direct", "wreath")),
             f"first differing degree 3: {NECKLACES_3_PLUS} vs {NECKLACES_3}",
             id="necklaces-census",
         ),
         pytest.param(
             "theorem",
-            "b1_series",
-            lambda spec, N: b1_series(spec, N) + SymFunc.p(2, N),
+            "series._necklace_formula",
+            lambda core, adot: _necklace_formula(core, adot) + SymFunc.p(2, core.truncation),
             "b1_series vs paper's route: first differing degree 2: ",
             id="theorem-b1_series",
         ),
         pytest.param(
             "theorem",
-            "specialize_s2",
+            "series.specialize_s2",
             lambda w, core, adot: specialize_s2(w, core, adot) + SymFunc.p(2, w.truncation),
             "b1_series vs paper's route: first differing degree 2: ",
             id="theorem-paper-route",
         ),
         pytest.param(
             "deg1",
-            "d_operator",
+            "verify.d_operator",
             lambda f, g: d_operator(f, g) * 2,
             "f=p1^2, g=h[4]: ",
             id="deg1",
         ),
     ],
 )
-def test_suite_fails_on_a_perturbed_closed_form(monkeypatch, suite, name, perturbed, detail):
-    monkeypatch.setattr(verify, name, perturbed)
+def test_suite_fails_on_a_perturbed_closed_form(monkeypatch, suite, target, perturbed, detail):
+    monkeypatch.setattr(f"plethys.{target}", perturbed)
     result = verify.run_suite(suite)
     assert result.passed is False
     assert result.detail.startswith(detail), result.detail
@@ -136,10 +136,35 @@ def test_theorem_fails_at_the_census_when_both_routes_move(monkeypatch):
         return a_series(spec, genus, N) + (SymFunc.p(2, N) if genus else SymFunc.zero(N))
 
     monkeypatch.setattr(series, "a_series", perturbed)
-    monkeypatch.setattr(verify, "a_series", perturbed)
     result = verify.run_suite("theorem")
     assert result.passed is False
     assert result.detail.startswith("first differing degree 2: "), result.detail
+
+
+def test_theorem_glues_both_routes_along_one_tree(monkeypatch):
+    # b1_series and the paper's route share one tree series T: one fixed
+    # point, and a1, a0'' and da0/dp_2 each composed with T once
+    trees, by_tree = [], []
+    fixed_point, compose = series.tree_fixed_point, series.plethysm
+
+    def counting_fixed_point(a0):
+        trees.append(fixed_point(a0))
+        return trees[-1]
+
+    def counting_plethysm(f, g):
+        if any(g is tree for tree in trees):
+            by_tree.append(f)
+        return compose(f, g)
+
+    # in verify too, so that an assembly outside series would be counted
+    for module in (series, verify):
+        monkeypatch.setattr(module, "tree_fixed_point", counting_fixed_point, raising=False)
+        monkeypatch.setattr(module, "plethysm", counting_plethysm, raising=False)
+    # the census is not needed to count the closed side's work
+    monkeypatch.setattr(verify, "_check", lambda suite, *rest: (verify.SuiteResult(suite, True), None))
+    verify.run_suite("theorem", STD, 4)
+    assert len(trees) == 1
+    assert len(by_tree) == 3
 
 
 @pytest.mark.parametrize("max_degree", [0, -1, True, 2.0])
