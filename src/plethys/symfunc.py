@@ -23,7 +23,6 @@ partitions: ``SymFunc`` supplies the partition keys, and
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import groupby
 from math import factorial, prod
@@ -107,6 +106,13 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def _check_type(value, cls) -> None:
+    """``TypeError`` unless ``value`` is exactly a ``cls``: the operations on
+    one ring's keys take no other ring's values."""
+    if type(value) is not cls:
+        raise TypeError(f"expected {cls.__name__}, got {type(value).__name__}")
+
+
 def _as_fraction(value) -> Fraction:
     """An ``int`` or ``Fraction`` coefficient; else ``TypeError``, ``bool`` included."""
     if isinstance(value, Fraction):
@@ -131,7 +137,7 @@ class _TruncatedSeries:
     ``_sort_key``      canonical term order (by degree first)
     ``_descending``    whether the factors inside a key sort descending
     ``_factor_str``    rendering of one generator factor
-    ``_json_field``, ``_key_to_json``, ``_key_from_json``  the JSON key codec
+    ``_json_field``, ``_key_to_json``  the JSON field name and key form
 
     Everything else (validation, ring operations, equality, rendering and
     the JSON form) lives here.  Values of two different subclasses never
@@ -144,7 +150,7 @@ class _TruncatedSeries:
         _check_int(truncation, "truncation")
         clean: dict[tuple, Fraction] = {}
         if terms:
-            for key, coeff in terms.items() if hasattr(terms, "items") else terms:
+            for key, coeff in terms.items():
                 key = self._validate_key(key)
                 if self._key_degree(key) > truncation:
                     raise ValueError(
@@ -208,6 +214,7 @@ class _TruncatedSeries:
         return min(map(self._key_degree, self._terms))
 
     def degree_part(self, d: int):
+        _check_int(d, "degree", least=0)
         degree = self._key_degree
         return self._raw(
             self.truncation,
@@ -232,8 +239,7 @@ class _TruncatedSeries:
     # -- ring structure -----------------------------------------------
 
     def _check_compatible(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        _check_type(other, type(self))
         if self.truncation != other.truncation:
             raise ValueError(
                 f"truncation mismatch: {self.truncation} vs {other.truncation}"
@@ -347,31 +353,6 @@ class _TruncatedSeries:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict):
-        """The value ``to_json_obj`` wrote.  Another shape (a missing field,
-        ``terms`` not a list, a term not an object, a key not a list or not
-        of the key's form), a ``num`` or ``den`` other than the decimal
-        strings it writes, or a zero ``den``, is a ``ValueError``."""
-        key, fields = cls._json_field, (cls._json_field, "num", "den")
-        entries = obj.get("terms") if isinstance(obj, dict) else None
-        if not isinstance(entries, list) or "truncation" not in obj or not all(
-            isinstance(entry, dict) and all(f in entry for f in fields) and isinstance(entry[key], list)
-            for entry in entries
-        ):
-            raise ValueError(
-                f"series JSON needs 'truncation' and a list 'terms' of objects with {fields}, {key!r} a list"
-            )
-        terms = []
-        for entry in entries:
-            num, den = entry["num"], entry["den"]
-            # int() alone would also read 1.5 and true as 1, and take " 3", "+3" and "1_0"
-            text = f"{num}/{den}" if type(num) is type(den) is str else ""
-            if not re.fullmatch("-?[0-9]+/0*[1-9][0-9]*", text):
-                raise ValueError(f"num/den must be decimal strings, den not 0, got {num!r}/{den!r}")
-            terms.append((cls._key_from_json(entry[key]), Fraction(int(num), int(den))))
-        return cls(obj["truncation"], terms)
-
 
 class SymFunc(_TruncatedSeries):
     """A truncated symmetric function with exact rational coefficients.
@@ -386,7 +367,6 @@ class SymFunc(_TruncatedSeries):
     _descending = True
     _json_field = "partition"
     _key_to_json = staticmethod(list)
-    _key_from_json = staticmethod(tuple)
 
     @staticmethod
     def _factor_str(k: int) -> str:
@@ -447,6 +427,7 @@ def plethysm(f: SymFunc, g: SymFunc) -> SymFunc:
     g must have no constant term, otherwise the substitution does not
     converge as a formal series.
     """
+    _check_type(f, SymFunc)
     f._check_compatible(g)
     if g.coefficient(()):
         raise ValueError("plethysm requires the right argument to have no constant term")
@@ -491,6 +472,7 @@ def _substitute(terms, image, truncation: int) -> SymFunc:
 def partial_p(k: int, f: SymFunc) -> SymFunc:
     """Formal partial derivative with respect to p_k."""
     _check_int(k, "derivative index")
+    _check_type(f, SymFunc)
     terms: dict[Partition, Fraction] = {}
     for lam, c in f._terms.items():
         m = lam.count(k)
@@ -512,6 +494,7 @@ def d_operator(f: SymFunc, g: SymFunc) -> SymFunc:
     Each monomial of f acts by composing the commuting operators
     k * d/dp_k over its parts.
     """
+    _check_type(f, SymFunc)
     f._check_compatible(g)
     out = SymFunc.zero(f.truncation)
     for lam, c in f._terms.items():

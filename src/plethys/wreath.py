@@ -31,6 +31,7 @@ from .symfunc import (
     SymFunc,
     _TruncatedSeries,
     _check_int,
+    _check_type,
     _necklace_formula,
     _substitute,
     adams,
@@ -68,13 +69,6 @@ def _grouped_key(key: WreathMonomial) -> list:
     return [{"k": k, "class": tag, "exp": len(list(run))} for (k, tag), run in groupby(key)]
 
 
-def _ungrouped_key(groups) -> WreathMonomial:
-    if not all(isinstance(g, dict) and {"k", "class", "exp"} <= g.keys() for g in groups):
-        raise ValueError(f"a wreath key is a list of objects with 'k', 'class' and 'exp', got {groups!r}")
-    # a list times True, 0 or -1 would keep one factor or none
-    return tuple(f for g in groups for f in [(g["k"], g["class"])] * _check_int(g["exp"], "exp"))
-
-
 class WreathSymFunc(_TruncatedSeries):
     """A truncated wreath-product symmetric function over exact rationals.
     Keys are sorted tuples of (k, class-tag) factors."""
@@ -89,7 +83,6 @@ class WreathSymFunc(_TruncatedSeries):
     _factor_str = staticmethod(_factor_str)
     _json_field = "key"
     _key_to_json = staticmethod(_grouped_key)
-    _key_from_json = staticmethod(_ungrouped_key)
 
     @classmethod
     def gen_p(cls, k: int, truncation: int) -> "WreathSymFunc":
@@ -136,8 +129,7 @@ def specialize_s2(w: WreathSymFunc, core: SymFunc, adot: SymFunc) -> SymFunc:
     extended linearly and multiplicatively over monomials.  Like the right
     argument of a plethysm, core and adot must have no constant term.
     """
-    if type(w) is not WreathSymFunc:
-        raise TypeError(f"expected WreathSymFunc, got {type(w).__name__}")
+    _check_type(w, WreathSymFunc)
     for name, f in (("core", core), ("adot", adot)):
         SymFunc.zero(w.truncation)._check_compatible(f)
         if f.coefficient(()):

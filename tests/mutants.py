@@ -124,6 +124,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "to_json_obj: the numerator is written as the denominator",
+        "src/plethys/symfunc.py",
+        '"den": str(c.denominator),',
+        '"den": str(c.numerator),',
+        tuple(
+            f"tests/test_golden.py::test_expand_output_digest[{target}-json]"
+            for target in ("ass", "b1", "cyclic-necklaces", "dih", "necklaces", "tree")
+        )
+        + (
+            "tests/test_golden.py::test_expand_b1_degree_12_digest",
+            "tests/test_properties.py::test_json_roundtrip[SymFunc]",
+            "tests/test_properties.py::test_json_roundtrip[WreathSymFunc]",
+            "tests/test_symfunc.py::test_to_json_obj_writes_lowest_terms_as_decimal_strings[minus-three-halves]",
+        ),
+    ),
+    Mutant(
+        "_grouped_key: every wreath key group is written with exp 1",
+        "src/plethys/wreath.py",
+        '"exp": len(list(run))}',
+        '"exp": 1}',
+        (
+            "tests/test_golden.py::test_expand_output_digest[dih-json]",
+            "tests/test_properties.py::test_json_roundtrip[WreathSymFunc]",
+            "tests/test_wreath.py::test_json_roundtrip_and_canonical_key_order",
+            "tests/test_wreath.py::test_to_json_obj_groups_equal_factors[P1^2*P2]",
+        ),
+    ),
+    Mutant(
         "specialize_s2: Q_k goes to adams(k, adot) without the factor 2",
         "src/plethys/wreath.py",
         "else adams(k, adot) * 2\n",

@@ -3,10 +3,14 @@
 Every closed series below is the character of a permutation
 representation: at a permutation of cycle type lam, the term c p_lam
 contributes Fix = z_lam * c fixed points, so z_lam * c is a non-negative
-integer.  The necklace and cyclic necklace series, the rooted-tree fixed
-point and the genus-one series are checked on the standard module and on
-the Young-heavy module of the paper-route tests.  A control shows that the
-check bites: the necklace formula with its quarter term set to 1/2 fails.
+integer.  By Burnside's lemma, the cyclic group generated by a permutation
+sigma_lam of type lam has (1/ord) sum_{j < ord} Fix(sigma_lam^j) orbits,
+also a non-negative integer.  The necklace and cyclic necklace series, the
+rooted-tree fixed point and the genus-one series are checked both ways on
+the standard module and on the Young-heavy module of the paper-route
+tests.  Two controls show that the checks bite: the necklace formula with
+its quarter term set to 1/2 fails the fixed-point check, and the necklace
+series plus p_2/2 passes it but fails the orbit count.
 
 Run as a script, this file checks the same series two to four degrees
 further and prints each check::
@@ -17,6 +21,8 @@ further and prints each check::
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 
 import pytest
 from test_series import PAPER_ROUTE_CASES
@@ -30,7 +36,7 @@ from plethys.series import (
     second_leg_series,
     tree_fixed_point,
 )
-from plethys.symfunc import adams, geom, z_of
+from plethys.symfunc import SymFunc, adams, geom, partitions_of, z_of
 
 MODULES = {
     "standard": ModuleSpec.standard(),
@@ -47,6 +53,11 @@ DEGREES = {"necklaces": 20, "cyclic-necklaces": 20, "tree": 10, "b1": 8}
 SCRIPT_DEGREES = {"necklaces": 24, "cyclic-necklaces": 24, "tree": 12, "b1": 12}
 
 
+@cache
+def built(module, series, N):
+    return SERIES[series](MODULES[module], N)
+
+
 def fixed_point_failures(f):
     """The (lam, z_lam * c) of every term c p_lam of f whose fixed-point
     count z_lam * c is not a non-negative integer."""
@@ -54,11 +65,39 @@ def fixed_point_failures(f):
     return [(lam, fix) for lam, fix in counts if fix < 0 or fix.denominator != 1]
 
 
+def power_type(lam, j):
+    """The cycle type of sigma^j, sigma of type lam: each l-cycle splits
+    into gcd(l, j) cycles of length l / gcd(l, j)."""
+    parts = (part // g for part in lam for g in [gcd(part, j)] for _ in range(g))
+    return tuple(sorted(parts, reverse=True))
+
+
+def orbit_count_failures(f):
+    """The (lam, orbits) of every cycle type lam through f's truncation
+    whose cyclic group <sigma_lam> has an orbit count
+    (1/ord) sum_{j < ord} z_mu c_mu, mu = type(sigma_lam^j), that is not a
+    non-negative integer."""
+    fix = {lam: z_of(lam) * c for lam, c in f.terms()}
+    failures = []
+    for n in range(f.truncation + 1):
+        for lam in partitions_of(n):
+            order = lcm(*lam)
+            orbits = Fraction(sum(fix.get(power_type(lam, j), 0) for j in range(order)), order)
+            if orbits < 0 or orbits.denominator != 1:
+                failures.append((lam, orbits))
+    return failures
+
+
 @pytest.mark.parametrize("series", SERIES)
 @pytest.mark.parametrize("module", MODULES)
 def test_fixed_point_counts_are_natural(module, series):
-    f = SERIES[series](MODULES[module], DEGREES[series])
-    assert fixed_point_failures(f) == []
+    assert fixed_point_failures(built(module, series, DEGREES[series])) == []
+
+
+@pytest.mark.parametrize("series", SERIES)
+@pytest.mark.parametrize("module", MODULES)
+def test_orbit_counts_are_natural(module, series):
+    assert orbit_count_failures(built(module, series, DEGREES[series])) == []
 
 
 def test_half_quarter_term_fails():
@@ -71,12 +110,26 @@ def test_half_quarter_term_fails():
     assert failures[0] == ((2,), Fraction(9, 2))
 
 
+def test_half_p2_fails_only_the_orbit_count():
+    # control: p_2/2 adds 1 to Fix at type (2), an integer, but 1/2 to the
+    # orbit count of <sigma_(2)>, whose powers have types (1, 1) and (2)
+    N = DEGREES["necklaces"]
+    wrong = built("standard", "necklaces", N) + SymFunc.p(2, N) * Fraction(1, 2)
+    assert fixed_point_failures(wrong) == []
+    assert orbit_count_failures(wrong)[0] == ((2,), Fraction(11, 2))
+
+
 def main() -> None:
     for module, spec in MODULES.items():
         for series, build in SERIES.items():
             N = SCRIPT_DEGREES[series]
-            assert fixed_point_failures(build(spec, N)) == [], (module, series, N)
-            print(f"{module} {series} through degree {N}: every z_lam * c is a natural number")
+            f = build(spec, N)
+            assert fixed_point_failures(f) == [], (module, series, N)
+            assert orbit_count_failures(f) == [], (module, series, N)
+            print(
+                f"{module} {series} through degree {N}: every z_lam * c and every"
+                " orbit count of a cyclic group is a natural number"
+            )
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -333,11 +334,54 @@ def test_truncated():
             f.truncated(n)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 1.5, -1, None, "1", Fraction(1)], ids=repr)
+def test_degree_part_rejects_non_int_degrees(bad):
+    # True and 2.0 would pick the degree-1 and degree-2 parts, 1.5 none
+    f = SymFunc.one(4) + h_gen(2, 4) + SymFunc.p(1, 4)
+    with pytest.raises(ValueError, match=f"^degree must be a nonnegative integer, got {re.escape(repr(bad))}$"):
+        f.degree_part(bad)
+    # degree 0 is a degree
+    assert f.degree_part(0) == SymFunc.one(4)
+
+
+@pytest.mark.parametrize("cls", [SymFunc, WreathSymFunc])
+def test_degree_part_splits_a_series_by_degree(cls):
+    N = 5
+    f = geom(cls.p(1, N) + cls.p(2, N)) if cls is SymFunc else random_wreath(random.Random(4), N, 6)
+    parts = [f.degree_part(d) for d in range(N + 1)]
+    assert sum(parts, cls.zero(N)) == f
+    for d, part in enumerate(parts):
+        assert all(f._key_degree(key) == d for key, _ in part.terms())
+    # a degree above the truncation has no terms
+    assert f.degree_part(N + 1).is_zero()
+
+
+# each place a SymFunc-only operation takes a series, with a value v put there
+SYMFUNC_PLACES = {
+    "partial_p": lambda v, f: partial_p(1, v),
+    "plethysm-left": lambda v, f: plethysm(v, f),
+    "plethysm-right": lambda v, f: plethysm(f, v),
+    "d_operator-left": lambda v, f: d_operator(v, f),
+    "d_operator-right": lambda v, f: d_operator(f, v),
+}
+
+
+@pytest.mark.parametrize("place", SYMFUNC_PLACES)
+@pytest.mark.parametrize(
+    "value", [WreathSymFunc.gen_p(1, 3), 1, Fraction(1, 2), None], ids=lambda v: type(v).__name__
+)
+def test_symfunc_operations_refuse_other_values(place, value):
+    # a WreathSymFunc would make partial_p return zero, and plethysm and
+    # d_operator take a wreath factor for an Adams or derivative index
+    f = SymFunc.p(1, 3)
+    with pytest.raises(TypeError, match=f"^expected SymFunc, got {type(value).__name__}$"):
+        SYMFUNC_PLACES[place](value, f)
+
+
 def test_json_roundtrip_and_order():
     N = 5
     f = h_gen(3, N) - SymFunc.p(2, N) * Fraction(7, 3)
     obj = f.to_json_obj()
-    assert SymFunc.from_json_obj(obj) == f
     # canonical order: by degree, then reverse-lex
     partitions = [tuple(t["partition"]) for t in obj["terms"]]
     keys = [(sum(lam), tuple(-p for p in lam)) for lam in partitions]
@@ -347,48 +391,27 @@ def test_json_roundtrip_and_order():
 
 
 @pytest.mark.parametrize(
-    "num, den",
-    [(1.5, 2.0), (1, "2"), ("1", 2), (True, "1"), ("1", True), ("1", "0"), ("1", "00"),
-     ("1", "-2"), (" 3", "1"), ("+3", "1"), ("1_0", "1"), ("\uff13", "1"), ("-", "1"), ("", "1")],
+    "coeff, num, den",
+    [
+        (1, "1", "1"),
+        (-1, "-1", "1"),
+        (Fraction(6, 4), "3", "2"),
+        (Fraction(-3, 2), "-3", "2"),
+        (Fraction(10, -4), "-5", "2"),
+        (Fraction(-22, 7), "-22", "7"),
+        (2**70, str(2**70), "1"),
+        (-(2**70), str(-(2**70)), "1"),
+        (Fraction(1, 3**40), "1", str(3**40)),
+        (Fraction(2**64 + 1, 2**64), str(2**64 + 1), str(2**64)),
+    ],
+    ids=["one", "minus-one", "six-quarters", "minus-three-halves", "ten-over-minus-four",
+         "minus-22-sevenths", "two-to-70", "minus-two-to-70", "one-over-three-to-40",
+         "near-one"],
 )
-def test_from_json_obj_reads_only_decimal_strings(num, den):
-    # int() would read 1.5 as 1 and true as 1, and "0" would divide by zero
-    obj = {"truncation": 2, "terms": [{"partition": [1], "num": num, "den": den}]}
-    with pytest.raises(ValueError, match="^num/den must be decimal strings, den not 0, got "):
-        SymFunc.from_json_obj(obj)
-
-
-TERM = {"partition": [1], "num": "1", "den": "1"}
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [{"truncation": 2}, {"terms": []}, {"truncation": 2, "terms": 5},
-     {"truncation": 2, "terms": {"0": TERM}}, {"truncation": 2, "terms": [5]},
-     {"truncation": 2, "terms": [list(TERM.items())]}, [2, [TERM]]]
-    + [{"truncation": 2, "terms": [{k: v for k, v in TERM.items() if k != gone}]} for gone in TERM],
-    ids=repr,
-)
-def test_from_json_obj_refuses_other_shapes(obj):
-    # a missing field or a wrong container is malformed input, not a program fault
-    with pytest.raises(ValueError, match="^series JSON needs 'truncation' and a list 'terms' of objects with"):
-        SymFunc.from_json_obj(obj)
-
-
-@pytest.mark.parametrize("key", [5, None, True, 1.5, "21", {"2": 1}], ids=repr)
-def test_from_json_obj_refuses_a_key_not_a_list(key):
-    # a partition key is the list to_json_obj writes; tuple() would take a
-    # string or an object's keys, and no other value at all
-    obj = {"truncation": 3, "terms": [{"partition": key, "num": "1", "den": "1"}]}
-    with pytest.raises(ValueError, match="^series JSON needs .*, 'partition' a list$"):
-        SymFunc.from_json_obj(obj)
-
-
-def test_from_json_obj_reads_what_to_json_obj_writes():
-    obj = {"truncation": 2, "terms": [{"partition": [1], "num": "-3", "den": "2"}]}
-    assert SymFunc.from_json_obj(obj) == SymFunc.p(1, 2) * Fraction(-3, 2)
-    obj["terms"][0].update(num="0", den="7")
-    assert SymFunc.from_json_obj(obj) == SymFunc.zero(2)
+def test_to_json_obj_writes_lowest_terms_as_decimal_strings(coeff, num, den):
+    # the sign rides on num, den is positive, and neither is cut to a float
+    f = SymFunc(3, {(2, 1): coeff})
+    assert f.to_json_obj() == {"truncation": 3, "terms": [{"partition": [2, 1], "num": num, "den": den}]}
 
 
 def test_coefficients_are_ints_or_fractions():
