@@ -7,8 +7,9 @@ Subcommands:
 
 Each subcommand takes only the options it reads; any other is a usage
 error.  Exit codes: 0 success, 1 verification failure, 2 input error
-(usage errors included), 3 budget exceeded, 4 internal fault (reported
-with its traceback).  Every census holds at most
+(usage errors and an unreadable ``--spec`` path included), 3 budget
+exceeded, 4 internal fault (reported with its traceback) or output that
+could not be written (reported without one).  Every census holds at most
 ``graphoracle.DEFAULT_BUDGET`` classes, a fixed limit, and ``enumerate
 --n`` takes at most ``ENUMERATE_MAX_LEGS`` legs, checked before any graph
 is built.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import graphoracle, verify
@@ -78,24 +80,20 @@ def _unique_keys(pairs) -> dict:
 
 
 def _load_spec(path: str) -> ModuleSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
-        except ModuleSpecError:
-            raise
-        except (ValueError, RecursionError) as exc:
-            # ValueError: bad syntax or encoding, or an integer longer than
-            # int() converts; RecursionError: nesting deeper than the
-            # decoder's recursion limit
-            raise ModuleSpecError(f"spec file is not valid JSON: {exc}")
+    except OSError as exc:
+        # an unreadable --spec path: missing, a directory, no permission
+        raise InputError(exc) from None
+    except ModuleSpecError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax or encoding, or an integer longer than
+        # int() converts; RecursionError: nesting deeper than the
+        # decoder's recursion limit
+        raise ModuleSpecError(f"spec file is not valid JSON: {exc}")
     return ModuleSpec.from_json_obj(obj)
-
-
-def _emit_series(series, args) -> None:
-    if args.format == "json":
-        print(json.dumps(series.to_json_obj()))
-    else:
-        print(str(series))
 
 
 def cmd_expand(args) -> int:
@@ -106,21 +104,21 @@ def cmd_expand(args) -> int:
     # a given spec is checked even by the targets that do not read it
     spec = _load_spec(args.spec) if args.spec is not None else None
     if target == "ass":
-        _emit_series(ass_series(N), args)
-        return EXIT_OK
-    if target == "dih":
-        _emit_series(dih_series_closed(N), args)
-        return EXIT_OK
-    working = working_truncation(spec, N)
-    a0 = a_series(spec, 0, working)
-    if target == "cyclic-necklaces":
-        _emit_series(cyclic_necklace_series(a0).truncated(N), args)
-    elif target == "necklaces":
-        _emit_series(necklace_series(a0).truncated(N), args)
-    elif target == "tree":
-        _emit_series(tree_fixed_point(a0).truncated(N), args)
+        series = ass_series(N)
+    elif target == "dih":
+        series = dih_series_closed(N)
     elif target == "b1":
-        _emit_series(b1_series(spec, N), args)
+        series = b1_series(spec, N)
+    else:
+        a0 = a_series(spec, 0, working_truncation(spec, N))
+        if target == "cyclic-necklaces":
+            series = cyclic_necklace_series(a0)
+        elif target == "necklaces":
+            series = necklace_series(a0)
+        else:
+            series = tree_fixed_point(a0)
+        series = series.truncated(N)
+    print(json.dumps(series.to_json_obj()) if args.format == "json" else series)
     return EXIT_OK
 
 
@@ -183,7 +181,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_args(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -191,9 +191,11 @@ def main(argv=None) -> int:
         print(f"error: malformed module spec: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except OSError as exc:
-        # an unreadable --spec path: missing, a directory, no permission
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        # stdout is closed or full: point it at the null device, as the
+        # signal docs advise for SIGPIPE, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -32,15 +32,18 @@ one, and twins carry disjoint non-empty label sets, so every orbit of
 these swaps keeps exactly its sorted assignment and every class is still
 reached (symmetry breaking in the generator, McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Canonical deduplication
-removes the duplicates that remain.
+removes the duplicates that remain.  Both necklace censuses lay out only
+the compositions of the legs around the cycle that are least among their
+rotations (and reversals, unless oriented).
 
 Every census character is a sum of automorphism cycle indices over
 leg-unlabeled classes (every leg 1..n carries one common label): each
 class U contributes (1/|Aut U|) sum_{a in Aut U} p_{type(a on legs)}.
-Necklace layouts are generated unlabeled; the genus-one and rooted-tree
-classes are the labeled census with its labels forgotten (the root label
-0 is kept).  The Burnside average of leg-relabeling fixed counts over the
-labeled census is kept in the tests as the reference for this path.
+The necklace census is laid out with that label; the genus-one and
+rooted-tree classes are the labeled census with its labels forgotten (the
+root label 0 is kept).  The Burnside average of leg-relabeling fixed
+counts over the labeled census is kept in the tests as the reference for
+this path.
 Everything here is deliberately independent of the closed formulas it is
 used to check: families are enumerated from raw matchings or cycle
 layouts and compared degreewise against the series module.  Every oracle
@@ -313,12 +316,15 @@ def relabel_legs(graph: DecoratedGraph, mapping: dict) -> DecoratedGraph:
 
 
 def _ordered_set_partitions(items, sizes):
-    items = tuple(items)
+    """Every ordered split of ``items`` into blocks of the given sizes, in
+    ``combinations`` order; with repeated items, each distinct split once."""
     if not sizes:
         yield ()
         return
-    for blk in combinations(items, sizes[0]):
-        rest = tuple(x for x in items if x not in blk)
+    for blk in dict.fromkeys(combinations(items, sizes[0])):
+        rest = list(items)
+        for x in blk:
+            rest.remove(x)
         for tail in _ordered_set_partitions(rest, sizes[1:]):
             yield (blk,) + tail
 
@@ -426,32 +432,28 @@ def _layout_graphs(vertex_of, genus, decorations, leg_starts, assigns, pairings,
                 yield DecoratedGraph(vertex_of, inv, genus, leg_label, dec_index, dec_block, mark)
 
 
-def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, labeled: bool):
+def _necklace_graphs(spec: ModuleSpec, leg_labels, oriented: bool):
     """Necklaces: every vertex genus 0 and on the single cycle, legs
-    attached directly to cycle vertices.
+    attached directly to cycle vertices and labeled by every distinct
+    assignment of ``leg_labels`` (1..n for the census, n copies of 1 for
+    its character).
 
     Layouts place k vertices at cycle positions; at each position, port 0
-    joins the previous position and port 1 the next, so every class is hit
-    (possibly several times, removed by canonical deduplication).  Oriented
-    necklaces keep the prev/next port marks as part of the structure, so
-    only rotations survive as isomorphisms.  Labeled necklaces carry the
-    legs 1..n; unlabeled ones give every leg the label 1, so each layout
-    yields one graph per decoration.
-
-    Unlabeled necklaces are laid out up to symmetry of the cycle: only a
-    composition that is the least of its rotations (oriented), or of its
-    rotations and reversals (unordered), is laid out.  A rotation is an
-    isomorphism of layouts, and so is a reversal once ports 0 and 1 swap
-    at every vertex, which maps the decorations of a vertex onto
-    themselves.  The least composition comes first in the enumeration, so
-    every class still meets the same first graph.  The labeled layouts
-    keep every rotation, which the pinning of label 1 relies on.
+    joins the previous position and port 1 the next.  Oriented necklaces
+    keep these prev/next port marks, so only rotations survive as
+    isomorphisms.  Only a composition that is the least of its rotations
+    (oriented), or of its rotations and reversals (unordered), is laid
+    out: a rotation is an isomorphism of layouts, and so is a reversal once
+    ports 0 and 1 swap at every vertex, which maps the decorations of a
+    vertex onto themselves.  Every class is still hit, possibly several
+    times; canonical deduplication removes the repeats.
     """
+    n = len(leg_labels)
     by_legcount = {m - 2: lams for m, lams in spec.genus0.items() if lams}
     allowed = tuple(sorted(lc for lc in by_legcount if lc >= 1))
     for k in range(1, n + 1):
         for comp in _sums((allowed,) * k, n):
-            if not labeled and not _least_up_to_symmetry(comp, oriented):
+            if not _least_up_to_symmetry(comp, oriented):
                 continue
             valences = [lc + 2 for lc in comp]
             offsets, vertex_of = _layout(valences)
@@ -461,13 +463,7 @@ def _necklace_graphs(spec: ModuleSpec, n: int, oriented: bool, labeled: bool):
                 for base in offsets:
                     mark[base] = MARK_PREV
                     mark[base + 1] = MARK_NEXT
-            if labeled:
-                # any layout can be rotated so that the vertex carrying leg 1
-                # sits at position 0, and the rotated composition is also
-                # enumerated; pinning label 1 there only removes duplicates
-                assigns = (a for a in _ordered_set_partitions(range(1, n + 1), comp) if 1 in a[0])
-            else:
-                assigns = (tuple((1,) * lc for lc in comp),)
+            assigns = _ordered_set_partitions(leg_labels, comp)
             cycle = tuple((offsets[j] + 1, offsets[(j + 1) % k]) for j in range(k))
             decorations = _decorations([by_legcount[lc] for lc in comp], offsets, valences)
             leg_starts = [base + 2 for base in offsets]
@@ -501,7 +497,8 @@ def _matching_graphs(spec: ModuleSpec, leg_labels, total_genus: int):
     A graph with h genus-1 vertices and first Betti number total_genus - h
     has that total genus; h runs from ``total_genus`` down to 0.  Genus
     one is the genus1-stable family, genus 0 the rooted-tree family (whose
-    leg labels include 0).
+    leg labels include 0).  The twin rule of ``_fill_shape`` compares label
+    sets strictly, so the labels must be distinct.
     """
     nlegs = len(leg_labels)
     prof0 = tuple(sorted(m for m, lams in spec.genus0.items() if lams))
@@ -591,7 +588,7 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int):
     elif family == "rooted-tree":
         graphs = _matching_graphs(spec, tuple(range(0, n + 1)), 0)
     else:
-        graphs = _necklace_graphs(spec, n, family == "oriented-necklace", labeled=True)
+        graphs = _necklace_graphs(spec, tuple(range(1, n + 1)), family == "oriented-necklace")
     census: dict = {}
     for graph in graphs:
         _insert(census, canonical_form(graph), graph)
@@ -679,7 +676,7 @@ def census_char(spec: ModuleSpec, family: str, n: int, truncation: int) -> SymFu
     if n > truncation:
         raise ValueError(f"degree {n} exceeds truncation {truncation}")
     if family in ("necklace", "oriented-necklace"):
-        graphs = _necklace_graphs(spec, n, family == "oriented-necklace", labeled=False)
+        graphs = _necklace_graphs(spec, (1,) * n, family == "oriented-necklace")
     else:
         forget = dict.fromkeys(range(1, n + 1), 1)
         graphs = (relabel_legs(g, forget) for g in enumerate_decorated(spec, family, n).values())

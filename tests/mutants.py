@@ -113,6 +113,24 @@ MUTANTS = (
         ("tests/test_twin_rule.py::test_twin_rule_prunes_generation",),
     ),
     Mutant(
+        "_necklace_graphs: every composition is laid out, not only the least",
+        "src/plethys/graphoracle.py",
+        "            if not _least_up_to_symmetry(comp, oriented):\n                continue\n",
+        "",
+        # more work, the same classes: only the raw graph count shows it
+        ("tests/test_necklace_layouts.py::test_least_layouts_bound_the_raw_graphs",),
+    ),
+    Mutant(
+        "_ordered_set_partitions: repeated labels give repeated assignments",
+        "src/plethys/graphoracle.py",
+        "dict.fromkeys(combinations(items, sizes[0]))",
+        "combinations(items, sizes[0])",
+        (
+            "tests/test_necklace_layouts.py::test_least_layouts_bound_the_raw_graphs",
+            "tests/test_necklace_layouts.py::test_repeated_items_give_each_assignment_once[all-equal]",
+        ),
+    ),
+    Mutant(
         "_necklace_route: the wreath route is the necklace formula",
         "src/plethys/series.py",
         "        return specialize_s2(dih_series_closed(core.truncation), core, adot)\n",

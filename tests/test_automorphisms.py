@@ -54,7 +54,7 @@ def _unlabeled(spec, family, n, labeled):
     """Graphs meeting every leg-unlabeled class of the family, as
     ``census_char`` generates them; ``labeled`` is the labeled census."""
     if family in NECKLACE_FAMILIES:
-        return list(go._necklace_graphs(spec, n, family == "oriented-necklace", labeled=False))
+        return list(go._necklace_graphs(spec, (1,) * n, family == "oriented-necklace"))
     return _forget_labels(labeled, n)
 
 

@@ -163,7 +163,7 @@ def _necklace_graphs():
         graph
         for oriented in (False, True)
         for n in range(1, 7)
-        for graph in go._necklace_graphs(STD, n, oriented, labeled=False)
+        for graph in go._necklace_graphs(STD, (1,) * n, oriented)
     ]
 
 

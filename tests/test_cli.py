@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plethys
 from plethys import graphoracle, verify
 from plethys.cli import main
 from plethys.series import ModuleSpec
@@ -370,3 +375,53 @@ def test_expand_checks_a_given_spec_for_every_target(capsys, tmp_path, std_spec)
     # a valid spec changes nothing in their output
     for what in ("ass", "dih"):
         assert run(capsys, ["expand", what, "--spec", std_spec]) == run(capsys, ["expand", what])
+
+
+def fresh(argv, stdout):
+    """(exit code, standard error) of ``plethys argv`` run in a fresh
+    process whose standard output is ``stdout``."""
+    src = str(Path(plethys.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "plethys.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+        text=True,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+def test_a_full_output_device_is_a_write_failure():
+    # the output fits the stdout buffer, so the flush inside main fails
+    with open("/dev/full", "w") as full:
+        code, err = fresh(["verify", "deg1", "--max-degree", "2"], full)
+    assert code == 4
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["expand", "ass", "--max-degree", "2"], ["enumerate", "necklace", "--n", "4"]],
+    ids=["buffered", "overflowing"],
+)
+def test_a_closed_pipe_is_a_write_failure(argv, std_spec):
+    # the enumerate output overflows the stdout buffer, so a print fails
+    # first and the buffer still holds output when the process exits
+    if argv[0] == "enumerate":
+        argv = argv + ["--spec", std_spec]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        code, err = fresh(argv, write)
+    finally:
+        os.close(write)
+    assert code == 4
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_a_missing_spec_path_is_an_input_error(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, err = fresh(["expand", "b1", "--spec", missing], subprocess.DEVNULL)
+    assert code == 2
+    assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"

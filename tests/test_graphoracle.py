@@ -294,8 +294,8 @@ def _generated(spec, family, n):
     oriented = family == "oriented-necklace"
     return (
         graph
-        for labeled in (True, False)
-        for graph in go._necklace_graphs(spec, n, oriented, labeled)
+        for labels in (tuple(range(1, n + 1)), (1,) * n)
+        for graph in go._necklace_graphs(spec, labels, oriented)
     )
 
 
