@@ -166,12 +166,14 @@ def _canonical_search(graph: DecoratedGraph):
     and keeps their order.  On a discrete coloring it can split nothing
     and gives back the same ranks, so skipping that round changes no rank.
 
-    A candidate lists the vertices by color and each vertex's half-edges
-    by search key.  Only vertex color classes and key ties of two or more
-    are permuted, so a graph whose coloring ends discrete has a single
-    candidate.  Every candidate describes its vertices alike, so the
-    involution is compared first, and the rest of the encoding is built
-    only for a candidate that ties or wins.
+    A candidate lists the vertices by color and the half-edges by search
+    key: (position of the half-edge's vertex, block, position of its
+    partner's vertex or -1 for a leg, color), where the color refines
+    (block, leg label, mark).  Only vertex color classes and key ties of
+    two or more are permuted, so a graph whose coloring ends discrete has
+    a single candidate.  Every candidate describes its vertices alike, so
+    the involution is compared first, and the rest of the encoding is
+    built only for a candidate that ties or wins.
     """
     vertex_of = graph.vertex_of
     inv = graph.inv
@@ -183,8 +185,9 @@ def _canonical_search(graph: DecoratedGraph):
     H = len(vertex_of)
     V = len(genus)
     vhe = graph.vertex_half_edges()
-    partner_vertex = [vertex_of[p] for p in inv]
     is_leg = [inv[h] == h for h in range(H)]
+    # the vertex of each half-edge's partner, and V for a leg
+    partner_vertex = [V if is_leg[h] else vertex_of[p] for h, p in enumerate(inv)]
 
     hcol, nh = _rank(list(zip(dec_block, leg_label, mark)))
     # a vertex's half-edges are as many as its valence, so flat signatures
@@ -215,32 +218,15 @@ def _canonical_search(graph: DecoratedGraph):
     vdesc = tuple([(genus[v], len(vhe[v]), dec_index[v]) for v in vbase])
     vclasses = _runs([vcol[v] for v in vbase]) if nv < V else ()
 
-    # A half-edge's search key is (block, is internal, leg label, position
-    # of the partner's vertex or -1, color, mark).  The color orders like
-    # (block, leg label, mark) and refines it, so the key orders like
-    # (block, is internal, partner position + 1 or 0, color), packed here
-    # into one integer after the position of the half-edge's own vertex.
-    low = min(dec_block, default=0)
-    span = (max(dec_block, default=0) - low + 1) * 2 * (V + 1) * H
-    base = [
-        (dec_block[h] - low) * 2 * (V + 1) * H + hcol[h]
-        if is_leg[h]
-        else (((dec_block[h] - low) * 2 + 1) * (V + 1) + 1) * H + hcol[h]
-        for h in range(H)
-    ]
-    step = [0 if is_leg[h] else H for h in range(H)]
-
     best = best_inv = None
     orders = []
-    vpos = [0] * V
+    # vpos[V] = -1 is the position of a leg's partner vertex V
+    vpos = [0] * V + [-1]
     hpos = [0] * H
     for vorder in _arrangements(vbase, vclasses):
         for i, v in enumerate(vorder):
             vpos[v] = i
-        key = [
-            vpos[vertex_of[h]] * span + base[h] + vpos[partner_vertex[h]] * step[h]
-            for h in range(H)
-        ]
+        key = [(vpos[vertex_of[h]], dec_block[h], vpos[partner_vertex[h]], hcol[h]) for h in range(H)]
         hbase = sorted(range(H), key=key.__getitem__)
         # equal keys mean equal colors, so a discrete coloring has no ties
         ties = _runs([key[h] for h in hbase]) if nh < H else ()
@@ -293,23 +279,6 @@ def _arrangements(items, slices):
         for (a, b), perm in zip(slices, combo):
             out[a:b] = perm
         yield out
-
-
-def relabel_legs(graph: DecoratedGraph, mapping: dict) -> DecoratedGraph:
-    """Relabel the positive leg labels through ``mapping`` (label 0, the
-    root of a rooted tree, is never moved)."""
-    leg_label = tuple(
-        mapping.get(l, l) if l >= 1 else l for l in graph.leg_label
-    )
-    return DecoratedGraph(
-        graph.vertex_of,
-        graph.inv,
-        graph.genus,
-        leg_label,
-        graph.dec_index,
-        graph.dec_block,
-        graph.mark,
-    )
 
 
 # -- enumeration ----------------------------------------------------------
@@ -678,8 +647,13 @@ def census_char(spec: ModuleSpec, family: str, n: int, truncation: int) -> SymFu
     if family in ("necklace", "oriented-necklace"):
         graphs = _necklace_graphs(spec, (1,) * n, family == "oriented-necklace")
     else:
-        forget = dict.fromkeys(range(1, n + 1), 1)
-        graphs = (relabel_legs(g, forget) for g in enumerate_decorated(spec, family, n).values())
+        # min(l, 1) sends the labels 1..n to 1 and keeps the root's 0
+        graphs = (
+            DecoratedGraph(
+                g.vertex_of, g.inv, g.genus, [min(l, 1) for l in g.leg_label], g.dec_index, g.dec_block, g.mark
+            )
+            for g in enumerate_decorated(spec, family, n).values()
+        )
     return _aut_char(graphs, truncation)
 
 

@@ -17,9 +17,10 @@ from plethys.graphoracle import (
     DecoratedGraph,
     _burnside_char,
     canonical_form,
-    relabel_legs,
 )
 from plethys.symfunc import SymFunc
+
+from graph_helpers import relabel_legs
 
 
 def _vertex_profile(graph: DecoratedGraph, mapping=None):

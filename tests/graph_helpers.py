@@ -1,7 +1,7 @@
 """Graph predicates and constructions that only the tests use: structural
 validation, half-edge and vertex counts, the first Betti number,
-connectivity, the necklace test and renaming of half-edges and
-vertices."""
+connectivity, the necklace test, renaming of half-edges and vertices,
+and relabeling of legs."""
 
 from __future__ import annotations
 
@@ -104,3 +104,12 @@ def permute_half_edges(graph: DecoratedGraph, hperm, vperm) -> DecoratedGraph:
         genus[vperm[v]] = graph.genus[v]
         dec_index[vperm[v]] = graph.dec_index[v]
     return DecoratedGraph(vertex_of, inv, genus, leg, dec_index, block, mark)
+
+
+def relabel_legs(graph: DecoratedGraph, mapping: dict) -> DecoratedGraph:
+    """Relabel the positive leg labels through ``mapping`` (label 0, the
+    root of a rooted tree, is never moved)."""
+    leg_label = [mapping.get(l, l) if l >= 1 else l for l in graph.leg_label]
+    return DecoratedGraph(
+        graph.vertex_of, graph.inv, graph.genus, leg_label, graph.dec_index, graph.dec_block, graph.mark
+    )

@@ -95,6 +95,25 @@ MUTANTS = (
         ("tests/test_automorphisms.py::test_aut_char_equals_burnside_char[std-genus1-stable]",),
     ),
     Mutant(
+        "_canonical_search: refinement stops after one round",
+        "src/plethys/graphoracle.py",
+        "        if nh_next == nh and nv_next == nv:\n",
+        "        if True:\n",
+        # more work, the same forms: only the kernel's work counts show it
+        ("tests/test_graphoracle.py::test_canonical_kernel_work_counts",),
+    ),
+    Mutant(
+        "_canonical_search: the search key drops the partner's position",
+        "src/plethys/graphoracle.py",
+        "dec_block[h], vpos[partner_vertex[h]], hcol[h])",
+        "dec_block[h], hcol[h])",
+        (
+            "tests/test_canonical_reference.py::test_kernel_matches_reference",
+            "tests/test_golden.py::test_enumerate_output_digest[genus1-stable-3]",
+            "tests/test_golden.py::test_enumerate_output_digest[necklace-4]",
+        ),
+    ),
+    Mutant(
         "_fill_shape: twins need not share their internal-port counts",
         "src/plethys/graphoracle.py",
         " and shape[v] == shape[v + 1] and int_counts[v] == int_counts[v + 1]\n",

@@ -16,7 +16,7 @@ from plethys.series import ModuleSpec
 from plethys.verify import run_suite
 
 from burnside_reference import char_of_census
-from graph_helpers import half_edge_count, permute_half_edges, vertex_count
+from graph_helpers import half_edge_count, permute_half_edges, relabel_legs, vertex_count
 
 STD = ModuleSpec.standard()
 TINY = ModuleSpec(genus0={3: [(3,)]})
@@ -47,7 +47,7 @@ def _classes(graphs):
 def _forget_labels(labeled, n):
     """The graphs of the labeled census with every label 1..n relabeled 1."""
     forget = dict.fromkeys(range(1, n + 1), 1)
-    return [go.relabel_legs(graph, forget) for graph in labeled.values()]
+    return [relabel_legs(graph, forget) for graph in labeled.values()]
 
 
 def _unlabeled(spec, family, n, labeled):

@@ -8,18 +8,25 @@ sigma_lam of type lam has (1/ord) sum_{j < ord} Fix(sigma_lam^j) orbits,
 also a non-negative integer.  The necklace and cyclic necklace series, the
 rooted-tree fixed point and the genus-one series are checked both ways on
 the standard module and on the Young-heavy module of the paper-route
-tests.  Two controls show that the checks bite: the necklace formula with
-its quarter term set to 1/2 fails the fixed-point check, and the necklace
-series plus p_2/2 passes it but fails the orbit count.
+tests.  A permutation character is also a genuine character, so its
+multiplicity <f_n, s_lam> = sum_mu c_mu chi^lam(mu) at every irreducible
+character chi^lam is a natural number; the table of the chi^lam comes from
+partitions alone, by the Murnaghan-Nakayama rule.  Three controls show
+that the checks bite: the necklace formula with its quarter term set to
+1/2 fails the fixed-point check, the necklace series plus p_2/2 passes it
+but fails the orbit count, and the necklace series plus 2 p_2 passes both
+but fails the multiplicities.
 
 Run as a script, this file checks the same series two to four degrees
-further and prints each check::
+further, and the multiplicities of the two necklace series through degree
+20, and prints each check::
 
     python tests/test_characters.py
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -51,6 +58,9 @@ SERIES = {
 # the degree of each check here, and when run as a script
 DEGREES = {"necklaces": 20, "cyclic-necklaces": 20, "tree": 10, "b1": 8}
 SCRIPT_DEGREES = {"necklaces": 24, "cyclic-necklaces": 24, "tree": 12, "b1": 12}
+# the highest degree of the multiplicity check here, and when run as a script
+SCHUR_DEGREE = 12
+SCRIPT_SCHUR_DEGREE = 20
 
 
 @cache
@@ -88,6 +98,68 @@ def orbit_count_failures(f):
     return failures
 
 
+@cache
+def _beta_char(beta, mu):
+    """The irreducible character at the beta-set ``beta`` (an ascending
+    tuple of distinct naturals) and the cycle type ``mu``.  A rim hook of
+    length r = mu[0] is a bead moved from b to the empty position b - r,
+    with sign (-1)^(beads strictly between); the rest of mu acts on what
+    is left."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    total = 0
+    for i, b in enumerate(beta):
+        if b >= r and b - r not in beta:
+            # beta[j:i] are the beads strictly between b - r and b
+            j = bisect(beta, b - r)
+            moved = beta[:j] + (b - r,) + beta[j:i] + beta[i + 1 :]
+            total += (-1) ** (i - j) * _beta_char(moved, rest)
+    return total
+
+
+@cache
+def beta_set(lam):
+    """The beta-set {lam_i + l - i} of lam, l its length, ascending."""
+    return tuple(sorted(part + len(lam) - i for i, part in enumerate(lam, 1)))
+
+
+def character(lam, mu):
+    """chi^lam(mu) by the Murnaghan-Nakayama rule on beta-sets (Macdonald,
+    Symmetric Functions and Hall Polynomials, 2nd ed., 1995, I.7)."""
+    return _beta_char(beta_set(lam), mu)
+
+
+def schur_multiplicity_failures(f, top):
+    """The (lam, <f_n, s_lam>) of every partition lam of n <= top whose
+    multiplicity sum_mu c_mu chi^lam(mu), f_n = sum_mu c_mu p_mu, is not a
+    natural number.  The sum runs over the integers D * c_mu, D the least
+    common denominator of the degree-n terms."""
+    terms = list(f.terms())
+    failures = []
+    for n in range(min(top, f.truncation) + 1):
+        part = [(mu, c) for mu, c in terms if sum(mu) == n]
+        D = lcm(*(c.denominator for _, c in part))
+        scaled = [(mu, int(c * D)) for mu, c in part]
+        for lam in partitions_of(n):
+            total = sum(k * character(lam, mu) for mu, k in scaled)
+            if total < 0 or total % D:
+                failures.append((lam, Fraction(total, D)))
+    return failures
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_character_table(n):
+    # column orthogonality, the trivial character and the sign
+    lams = partitions_of(n)
+    for mu in lams:
+        assert character((n,), mu) == 1
+        assert character((1,) * n, mu) == (-1) ** (n - len(mu))
+        for nu in lams:
+            inner = sum(character(lam, mu) * character(lam, nu) for lam in lams)
+            assert inner == (z_of(mu) if mu == nu else 0), (mu, nu)
+
+
 @pytest.mark.parametrize("series", SERIES)
 @pytest.mark.parametrize("module", MODULES)
 def test_fixed_point_counts_are_natural(module, series):
@@ -98,6 +170,13 @@ def test_fixed_point_counts_are_natural(module, series):
 @pytest.mark.parametrize("module", MODULES)
 def test_orbit_counts_are_natural(module, series):
     assert orbit_count_failures(built(module, series, DEGREES[series])) == []
+
+
+@pytest.mark.parametrize("series", SERIES)
+@pytest.mark.parametrize("module", MODULES)
+def test_schur_multiplicities_are_natural(module, series):
+    f = built(module, series, DEGREES[series])
+    assert schur_multiplicity_failures(f, SCHUR_DEGREE) == []
 
 
 def test_half_quarter_term_fails():
@@ -119,6 +198,17 @@ def test_half_p2_fails_only_the_orbit_count():
     assert orbit_count_failures(wrong)[0] == ((2,), Fraction(11, 2))
 
 
+def test_two_p2_fails_only_the_schur_multiplicities():
+    # control: 2 p_2 adds 4 to Fix at type (2) and 2 to the orbit count of
+    # <sigma_(2)>, both natural, but takes 2 from <f_2, s_11>, since
+    # chi^11((2)) = -1
+    N = DEGREES["necklaces"]
+    wrong = built("standard", "necklaces", N) + SymFunc.p(2, N) * 2
+    assert fixed_point_failures(wrong) == []
+    assert orbit_count_failures(wrong) == []
+    assert schur_multiplicity_failures(wrong, SCHUR_DEGREE)[0] == ((1, 1), -1)
+
+
 def main() -> None:
     for module, spec in MODULES.items():
         for series, build in SERIES.items():
@@ -126,9 +216,12 @@ def main() -> None:
             f = build(spec, N)
             assert fixed_point_failures(f) == [], (module, series, N)
             assert orbit_count_failures(f) == [], (module, series, N)
+            top = min(N, SCRIPT_SCHUR_DEGREE)
+            assert schur_multiplicity_failures(f, top) == [], (module, series, top)
             print(
                 f"{module} {series} through degree {N}: every z_lam * c and every"
-                " orbit count of a cyclic group is a natural number"
+                " orbit count of a cyclic group is a natural number, and so is"
+                f" every <f_n, s_lam> through degree {top}"
             )
 
 
