@@ -47,7 +47,6 @@ from .graphoracle import (
     canonical_form,
     census_char,
     enumerate_decorated,
-    hom_char,
 )
 
 __version__ = "0.1.0"

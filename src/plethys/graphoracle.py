@@ -52,12 +52,11 @@ is a plain function of its arguments and keeps nothing between calls.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .groups import Perm, ind_trivial_char
 from .series import ModuleSpec
-from .symfunc import SymFunc, _check_int, _validate_partition, partitions_of, z_of
+from .symfunc import SymFunc, _check_int
 
 MARK_NONE = 0
 MARK_PREV = 1
@@ -567,33 +566,6 @@ def enumerate_decorated(spec: ModuleSpec, family: str, n: int):
 # -- characters -----------------------------------------------------------
 
 
-def _perm_of_type(lam, n):
-    """A permutation of {1..n} with the given cycle type, cycles on
-    consecutive integers, as a mapping dict."""
-    mapping = {}
-    start = 1
-    for part in lam:
-        block = list(range(start, start + part))
-        for i, x in enumerate(block):
-            mapping[x] = block[(i + 1) % part]
-        start += part
-    return mapping
-
-
-def _burnside_char(n: int, truncation: int, points: int, fixed) -> SymFunc:
-    """Character of a set of ``points`` permuted by the permutations of
-    1..n: the Burnside average (1/n!) sum_pi Fix(pi) p_{type(pi)},
-    evaluated once per cycle type lam with the conjugacy-class weight
-    1/z_lam.  ``fixed(mapping)`` counts the points that the permutation
-    ``mapping`` of a non-identity type fixes; the identity fixes them all."""
-    terms = {}
-    for lam in partitions_of(n):
-        fix = points if lam == (1,) * n else fixed(_perm_of_type(lam, n))
-        if fix:
-            terms[lam] = Fraction(fix, z_of(lam))
-    return SymFunc(truncation, terms)
-
-
 def _leg_actions(graph: DecoratedGraph, orders):
     """One permutation of the legs labeled 1 or more per automorphism, the
     legs numbered 1, 2, ... in the first optimal order; an automorphism
@@ -655,48 +627,6 @@ def census_char(spec: ModuleSpec, family: str, n: int, truncation: int) -> SymFu
             for g in enumerate_decorated(spec, family, n).values()
         )
     return _aut_char(graphs, truncation)
-
-
-def hom_char(action: str, glam, truncation: int) -> SymFunc:
-    """Orbit-counting oracle for pairing a two-point group module against a
-    Young permutation module with a marked pair of letters.
-
-    ``action`` names the module of the order-two group: "trivial" (one
-    fixed point) or "regular" (two swapped points).  ``glam`` is the Young
-    module's partition of m; its basis is realized as ordered set
-    partitions of {1..m}, with letters m-1 and m marked.  The swap acts
-    simultaneously on the module and on the marked letters; the result is
-    the character of the orbit set under permutations of letters 1..m-2.
-    """
-    glam = _validate_partition(glam)
-    m = sum(glam)
-    if m < 2:
-        raise ValueError("the Young module must have at least two letters")
-    n = m - 2
-    if action == "trivial":
-        points = (0,)
-        act = {0: 0}
-    elif action == "regular":
-        points = (0, 1)
-        act = {0: 1, 1: 0}
-    else:
-        raise ValueError(f"unknown action {action!r}")
-    bases = list(_ordered_set_partitions(tuple(range(1, m + 1)), glam))
-    swap = {m - 1: m, m: m - 1}
-
-    def apply_letters(b, mapping):
-        return tuple(tuple(sorted(mapping.get(x, x) for x in blk)) for blk in b)
-
-    def orbit_key(el):
-        a, b = el
-        return min(el, (act[a], apply_letters(b, swap)))
-
-    orbits = sorted({orbit_key((a, b)) for a in points for b in bases})
-
-    def fixed(mapping):
-        return sum(orbit_key((a, apply_letters(b, mapping))) == (a, b) for a, b in orbits)
-
-    return _burnside_char(n, truncation, len(orbits), fixed)
 
 
 # -- census export --------------------------------------------------------

@@ -1,12 +1,13 @@
 """Identity-verification suites, shared by the command line and the tests.
 
 Each suite checks one closed-form identity against an independent
-computation (a group-element average, a graph census, or an orbit count)
-by exact degreewise comparison.  Every group-average or census suite runs
-one check: its closed paths (two for ``necklaces`` and ``theorem``, one
-elsewhere) must agree degree by degree, and then the first must agree with
-the average over the degree-d subgroup or the degree-d census; the check
-stops at its first differing degree.
+computation (a group-element average or a graph census) by exact
+degreewise comparison.  Every suite but ``deg1``, which pairs two fixed
+Young modules with three operators, runs one check: its closed paths
+(two for ``necklaces`` and ``theorem``, one elsewhere) must agree degree
+by degree, and then the first must agree with the average over the
+degree-d subgroup or the degree-d census; the check stops at its first
+differing degree.
 Every suite carries its own default degree, chosen so that ``run_all`` at
 defaults is exactly the acceptance workload; an explicit ``max_degree``
 overrides it.
@@ -18,7 +19,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
-from .graphoracle import census_char, hom_char
+from .graphoracle import census_char
 from .groups import cyclic_subgroup, hyperoct_dihedral, ind_trivial_char, ind_trivial_char_wreath
 from .series import (
     ModuleSpec,
@@ -100,21 +101,30 @@ def run_generating(spec: ModuleSpec, max_degree: int) -> SuiteResult:
 
 
 def run_deg1(spec: ModuleSpec, max_degree: int) -> SuiteResult:
-    """Differential-operator pairing against the orbit-counting oracle."""
+    """Differential-operator pairing against the one-vertex necklace census.
+
+    A genus-0 vertex decorated by h_lam, lam a partition of m, with a loop
+    and n = m - 2 legs has the character d_operator(h_2, h_lam) when the
+    loop's ends are unordered (the necklace census of the one-summand
+    module) and d_operator(p_1^2, h_lam) when they are ordered (the
+    oriented census); p_2 = 2 h_2 - p_1^2 pairs to twice the first minus
+    the second.
+    """
     N = max(max_degree, 5)
-    cases_g = [((4,), h_gen(4, N)), ((3, 2), h_lambda((3, 2), N))]
     p1 = SymFunc.p(1, N)
-    p2 = SymFunc.p(2, N)
-    h2 = h_gen(2, N)
-    cases_f = [
-        ("p1^2", p1 * p1, lambda lam: hom_char("regular", lam, N)),
-        ("p2", p2, lambda lam: hom_char("trivial", lam, N) * 2 - hom_char("regular", lam, N)),
-        ("h2", h2, lambda lam: hom_char("trivial", lam, N)),
-    ]
-    for glam, g in cases_g:
-        for fname, f, oracle in cases_f:
+    for glam in ((4,), (3, 2)):
+        m = sum(glam)
+        one_vertex = ModuleSpec(genus0={m: [glam]})
+        unordered = census_char(one_vertex, "necklace", m - 2, N)
+        ordered = census_char(one_vertex, "oriented-necklace", m - 2, N)
+        g = h_lambda(glam, N)
+        cases = [
+            ("p1^2", p1 * p1, ordered),
+            ("p2", SymFunc.p(2, N), unordered * 2 - ordered),
+            ("h2", h_gen(2, N), unordered),
+        ]
+        for fname, f, rhs in cases:
             lhs = d_operator(f, g)
-            rhs = oracle(glam)
             if lhs != rhs:
                 return SuiteResult(
                     "deg1", False, f"f={fname}, g=h{list(glam)}: {lhs} vs orbit oracle {rhs}"

@@ -9,18 +9,45 @@ classes.  It relabels each labeled class once per cycle type of the legs
 averages the fixed counts over the cycle types.  It shares the labeled
 census and the canonical form with the program path but not the
 automorphism groups, and the tests compare the two on every family.
+The Burnside average over cycle types, ``_burnside_char``, has no other
+caller and lives here with it.
 """
 
 from __future__ import annotations
 
-from plethys.graphoracle import (
-    DecoratedGraph,
-    _burnside_char,
-    canonical_form,
-)
-from plethys.symfunc import SymFunc
+from fractions import Fraction
+
+from plethys.graphoracle import DecoratedGraph, canonical_form
+from plethys.symfunc import SymFunc, partitions_of, z_of
 
 from graph_helpers import relabel_legs
+
+
+def _perm_of_type(lam, n):
+    """A permutation of {1..n} with the given cycle type, cycles on
+    consecutive integers, as a mapping dict."""
+    mapping = {}
+    start = 1
+    for part in lam:
+        block = list(range(start, start + part))
+        for i, x in enumerate(block):
+            mapping[x] = block[(i + 1) % part]
+        start += part
+    return mapping
+
+
+def _burnside_char(n: int, truncation: int, points: int, fixed) -> SymFunc:
+    """Character of a set of ``points`` permuted by the permutations of
+    1..n: the Burnside average (1/n!) sum_pi Fix(pi) p_{type(pi)},
+    evaluated once per cycle type lam with the conjugacy-class weight
+    1/z_lam.  ``fixed(mapping)`` counts the points that the permutation
+    ``mapping`` of a non-identity type fixes; the identity fixes them all."""
+    terms = {}
+    for lam in partitions_of(n):
+        fix = points if lam == (1,) * n else fixed(_perm_of_type(lam, n))
+        if fix:
+            terms[lam] = Fraction(fix, z_of(lam))
+    return SymFunc(truncation, terms)
 
 
 def _vertex_profile(graph: DecoratedGraph, mapping=None):

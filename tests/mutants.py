@@ -150,6 +150,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "run_deg1: the unordered and the ordered loop censuses are swapped",
+        "src/plethys/verify.py",
+        '        unordered = census_char(one_vertex, "necklace", m - 2, N)\n'
+        '        ordered = census_char(one_vertex, "oriented-necklace", m - 2, N)\n',
+        '        unordered = census_char(one_vertex, "oriented-necklace", m - 2, N)\n'
+        '        ordered = census_char(one_vertex, "necklace", m - 2, N)\n',
+        # the two agree on h_4, so only the h_(3,2) case shows the swap
+        (
+            "tests/test_acceptance.py::test_verify_all_cli_defaults_exit_zero",
+            "tests/test_cli.py::test_verify_all_small_degrees",
+            "tests/test_cli.py::test_verify_failure_exit_code",
+        ),
+    ),
+    Mutant(
         "_necklace_route: the wreath route is the necklace formula",
         "src/plethys/series.py",
         "        return specialize_s2(dih_series_closed(core.truncation), core, adot)\n",

@@ -15,7 +15,6 @@ from plethys.cli import main
 from plethys.graphoracle import (
     canonical_form,
     enumerate_decorated,
-    hom_char,
 )
 from plethys.groups import (
     Perm,
@@ -115,16 +114,18 @@ def test_criterion_5_full_theorem_degree_4():
 
 def test_criterion_6_degree_one_plethysm_oracle():
     N = 6
-    cases_g = [((4,), h_gen(4, N)), ((3, 2), h_lambda((3, 2), N))]
     p1 = SymFunc.p(1, N)
     failures = []
-    for glam, g in cases_g:
-        trivial = hom_char("trivial", glam, N)
-        regular = hom_char("regular", glam, N)
+    for glam in ((4,), (3, 2)):
+        m = sum(glam)
+        one_vertex = ModuleSpec(genus0={m: [glam]})
+        unordered = go.census_char(one_vertex, "necklace", m - 2, N)
+        ordered = go.census_char(one_vertex, "oriented-necklace", m - 2, N)
+        g = h_lambda(glam, N)
         checks = [
-            ("p1^2", d_operator(p1 * p1, g), regular),
-            ("p2", d_operator(SymFunc.p(2, N), g), trivial * 2 - regular),
-            ("h2", d_operator(h_gen(2, N), g), trivial),
+            ("p1^2", d_operator(p1 * p1, g), ordered),
+            ("p2", d_operator(SymFunc.p(2, N), g), unordered * 2 - ordered),
+            ("h2", d_operator(h_gen(2, N), g), unordered),
         ]
         for name, lhs, rhs in checks:
             if lhs != rhs:

@@ -13,10 +13,9 @@ from plethys.graphoracle import (
     canon_to_json_obj,
     canonical_form,
     enumerate_decorated,
-    hom_char,
 )
 from plethys.series import ModuleSpec
-from plethys.symfunc import SymFunc, d_operator, h_gen, h_lambda
+from plethys.symfunc import SymFunc, d_operator, h_gen, h_lambda, partitions_of
 
 from burnside_reference import char_of_census
 from graph_helpers import (
@@ -443,20 +442,25 @@ def test_char_coefficients_times_z_are_integers():
                 assert (coeff * z_of(lam)).denominator == 1
 
 
-def test_hom_char_against_operator():
+@pytest.mark.parametrize(
+    "glam",
+    [lam for m in range(3, 7) for lam in partitions_of(m)],
+    ids=lambda lam: ".".join(map(str, lam)),
+)
+def test_one_vertex_census_is_the_operator_pairing(glam):
+    """A loop at one genus-0 vertex decorated by h_lam: the necklace census
+    (unordered ends) pairs with h_2, the oriented census (ordered ends)
+    with p_1^2, and p_2 = 2 h_2 - p_1^2 with their difference."""
     N = 6
-    for glam in ((4,), (3, 2)):
-        g = h_lambda(glam, N)
-        trivial = hom_char("trivial", glam, N)
-        regular = hom_char("regular", glam, N)
-        assert d_operator(h_gen(2, N), g) == trivial
-        p1 = SymFunc.p(1, N)
-        assert d_operator(p1 * p1, g) == regular
-        assert d_operator(SymFunc.p(2, N), g) == trivial * 2 - regular
-    with pytest.raises(ValueError):
-        hom_char("bogus", (4,), N)
-    with pytest.raises(ValueError):
-        hom_char("trivial", (1,), N)
+    m = sum(glam)
+    one_vertex = ModuleSpec(genus0={m: [glam]})
+    unordered = go.census_char(one_vertex, "necklace", m - 2, N)
+    ordered = go.census_char(one_vertex, "oriented-necklace", m - 2, N)
+    g = h_lambda(glam, N)
+    p1 = SymFunc.p(1, N)
+    assert d_operator(h_gen(2, N), g) == unordered
+    assert d_operator(p1 * p1, g) == ordered
+    assert d_operator(SymFunc.p(2, N), g) == unordered * 2 - ordered
 
 
 def test_census_export_deterministic():

@@ -1,14 +1,15 @@
 """The brute-force side and the closed formulas stay independent.
 
-``graphoracle`` may take the test module's data (``ModuleSpec``) from the
-series layer and ring arithmetic from ``symfunc``, but none of the
-operations that build the closed series: no plethysm, no Adams operation,
-no complete or power-sum generating series, nothing from ``wreath`` and
-nothing else from ``series``.  ``groups``, the side of the ``bb`` and
-``generating`` averages, takes only the ring types, class tags and the
-shared integer check: ``Partition``, ``SymFunc``, ``_check_int`` and
-``_is_int`` from ``symfunc``, ``E_CLASS``, ``T_CLASS`` and
-``WreathSymFunc`` from ``wreath``.  In the other direction, the
+``graphoracle`` takes from the rest of the package only the ring type and
+the shared integer check (``SymFunc`` and ``_check_int`` from
+``symfunc``), the test module's data (``ModuleSpec`` from ``series``) and
+the cycle-index sum over a group (``Perm`` and ``ind_trivial_char`` from
+``groups``): no plethysm, no Adams operation, no complete or power-sum
+generating series and nothing from ``wreath``.  ``groups``, the side of
+the ``bb`` and ``generating`` averages, takes only the ring types, class
+tags and the shared integer check: ``Partition``, ``SymFunc``,
+``_check_int`` and ``_is_int`` from ``symfunc``, ``E_CLASS``, ``T_CLASS``
+and ``WreathSymFunc`` from ``wreath``.  In the other direction, the
 closed-form layers ``symfunc``, ``wreath`` and ``series`` import nothing
 from the group averages, the censuses, the suites or the command line.
 The checks read the modules' import statements, so they hold however the
@@ -23,8 +24,13 @@ import pytest
 import plethys
 from plethys import graphoracle, groups, series, symfunc, wreath
 
-FORBIDDEN_NAMES = {"h_lambda", "h_gen", "plethysm", "adams", "log_inv", "geom", "partial_p"}
-SERIES_ALLOWED = {"ModuleSpec"}
+GRAPHORACLE_ALLOWED = {
+    ("symfunc", "SymFunc"),
+    ("symfunc", "_check_int"),
+    ("series", "ModuleSpec"),
+    ("groups", "Perm"),
+    ("groups", "ind_trivial_char"),
+}
 GROUPS_ALLOWED = {
     ("symfunc", "Partition"),
     ("symfunc", "SymFunc"),
@@ -57,15 +63,13 @@ def _imports(source):
     return out
 
 
-def violations(source):
-    bad = []
-    for module, name in _imports(source):
-        layer = module.split(".")[0]
-        if layer == "wreath" or name in FORBIDDEN_NAMES:
-            bad.append((module, name))
-        elif layer == "series" and name not in SERIES_ALLOWED:
-            bad.append((module, name))
-    return bad
+def violations(source, allowed):
+    """The package imports of ``source`` outside ``allowed``."""
+    return [
+        (module, name)
+        for module, name in _imports(source)
+        if module.split(".")[0] in PACKAGE_MODULES and (module, name) not in allowed
+    ]
 
 
 ORACLE_LAYERS = {"groups", "graphoracle", "verify", "cli"}
@@ -97,44 +101,46 @@ def test_oracle_imports_are_found():
 
 
 def test_graphoracle_imports_no_closed_formula():
-    assert violations(_source(graphoracle)) == []
+    assert violations(_source(graphoracle), GRAPHORACLE_ALLOWED) == []
 
 
 def test_violations_are_found():
-    assert violations("from .symfunc import SymFunc, h_gen\n") == [("symfunc", "h_gen")]
-    assert violations("from .wreath import E_CLASS\n") == [("wreath", "E_CLASS")]
-    assert violations("from . import series\n") == [("series", None)]
-    assert violations("import plethys.wreath\n") == [("wreath", None)]
-    assert violations("from plethys.series import ModuleSpec, b1_series\n") == [
+    assert violations("from .symfunc import SymFunc, h_gen\n", GRAPHORACLE_ALLOWED) == [
+        ("symfunc", "h_gen")
+    ]
+    assert violations("from .wreath import E_CLASS\n", GRAPHORACLE_ALLOWED) == [("wreath", "E_CLASS")]
+    assert violations("from . import series\n", GRAPHORACLE_ALLOWED) == [("series", None)]
+    assert violations("import plethys.wreath\n", GRAPHORACLE_ALLOWED) == [("wreath", None)]
+    assert violations("from plethys.series import ModuleSpec, b1_series\n", GRAPHORACLE_ALLOWED) == [
         ("series", "b1_series")
     ]
-    assert violations("from .series import ModuleSpec\nfrom .groups import Perm\n") == []
-
-
-def groups_violations(source):
-    """The package imports of ``groups`` outside ``GROUPS_ALLOWED``."""
-    return [
-        (module, name)
-        for module, name in _imports(source)
-        if module.split(".")[0] in PACKAGE_MODULES and (module, name) not in GROUPS_ALLOWED
+    assert violations("from .symfunc import partitions_of, z_of\n", GRAPHORACLE_ALLOWED) == [
+        ("symfunc", "partitions_of"),
+        ("symfunc", "z_of"),
     ]
+    assert violations(
+        "from fractions import Fraction\nfrom .series import ModuleSpec\n"
+        "from .groups import Perm, ind_trivial_char\n",
+        GRAPHORACLE_ALLOWED,
+    ) == []
 
 
 def test_groups_imports_only_ring_types():
-    assert groups_violations(_source(groups)) == []
+    assert violations(_source(groups), GROUPS_ALLOWED) == []
 
 
 def test_groups_violations_are_found():
-    assert groups_violations("from .wreath import dih_series_closed\n") == [
+    assert violations("from .wreath import dih_series_closed\n", GROUPS_ALLOWED) == [
         ("wreath", "dih_series_closed")
     ]
-    assert groups_violations("from .symfunc import SymFunc, h_gen\n") == [("symfunc", "h_gen")]
-    assert groups_violations("from . import wreath\n") == [("wreath", None)]
-    assert groups_violations("import plethys\n") == [("plethys", None)]
-    assert groups_violations("from plethys.series import ModuleSpec\n") == [
+    assert violations("from .symfunc import SymFunc, h_gen\n", GROUPS_ALLOWED) == [("symfunc", "h_gen")]
+    assert violations("from . import wreath\n", GROUPS_ALLOWED) == [("wreath", None)]
+    assert violations("import plethys\n", GROUPS_ALLOWED) == [("plethys", None)]
+    assert violations("from plethys.series import ModuleSpec\n", GROUPS_ALLOWED) == [
         ("series", "ModuleSpec")
     ]
-    assert groups_violations(
+    assert violations(
         "from collections import Counter\nfrom .symfunc import Partition, SymFunc\n"
-        "from .wreath import E_CLASS, T_CLASS, WreathSymFunc\n"
+        "from .wreath import E_CLASS, T_CLASS, WreathSymFunc\n",
+        GROUPS_ALLOWED,
     ) == []
